@@ -3,9 +3,9 @@
 :class:`LongTermCampaign` reproduces the paper's two-year study: it
 manufactures a fleet of devices, takes each device's first-ever
 read-out as the lifetime reference, then alternates monthly snapshots
-(:func:`~repro.analysis.monthly.evaluate_month`) with one month of
-nominal-condition aging, for 25 snapshots in total (Feb 2017 through
-Feb 2019 inclusive).
+(the Section IV-B protocol of :mod:`repro.analysis.monthly`) with one
+month of nominal-condition aging, for 25 snapshots in total (Feb 2017
+through Feb 2019 inclusive).
 
 An optional ambient-temperature random walk perturbs each month's
 measurement temperature around the nominal, mimicking an uncontrolled
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.monthly import MonthlyEvaluation, assemble_evaluation, evaluate_month
+from repro.analysis.monthly import MonthlyEvaluation, assemble_evaluation
 from repro.errors import (
     CampaignExecutionError,
     CampaignInterrupted,
@@ -28,13 +28,11 @@ from repro.errors import (
     StorageError,
 )
 from repro.rng import RandomState, SeedHierarchy
-from repro.sram.aging import AgingSimulator
 from repro.sram.chip import SRAMChip
 from repro.sram.fleetkernel import validate_kernel
 from repro.sram.population import PopulationSpec
 from repro.sram.profiles import ATMEGA32U4, DeviceProfile
 from repro.telemetry import (
-    PHASE_AGING,
     PHASE_MONITOR,
     PHASE_STORE_IO,
     get_flight_recorder,
@@ -294,16 +292,29 @@ class LongTermCampaign:
             return self._population.display_name
         return self._profile.name
 
-    def _profile_spec_fields(self, boards) -> Dict[str, object]:
-        """Profile kwargs for one shard's Shard/Window spec.
+    def _spec_fields(self, boards) -> Dict[str, object]:
+        """The fields every Shard/Window spec of ``boards`` carries.
 
         Homogeneous campaigns pass ``profile=`` exactly as before the
         population layer existed; heterogeneous ones pass a shard-local
         re-interned ``profiles`` table plus per-board indices, so each
         distinct profile pickles once per spawn payload.
         """
+        fields: Dict[str, object] = {
+            "root_seed": self._seeds.root_seed,
+            "measurements": self._measurements,
+            "statistical": self._statistical,
+            "aging_steps_per_month": self._aging_steps,
+            "aging_acceleration": self._aging_acceleration,
+            "fail_board": self._fail_board if self._fail_board in boards else None,
+            "rollup_shards": self._rollup_shards if rollups_enabled() else 0,
+            "fleet_size": self._device_count,
+            "trace": get_tracer().context(phases=profiling_enabled()),
+            "kernel": self._kernel,
+        }
         if self._population is None:
-            return {"profile": self._profile}
+            fields["profile"] = self._profile
+            return fields
         local: Dict[int, int] = {}
         profiles: List[DeviceProfile] = []
         index: List[int] = []
@@ -315,7 +326,8 @@ class LongTermCampaign:
                 local[slot] = pos
                 profiles.append(self._profile_table[slot])
             index.append(pos)
-        return {"profiles": tuple(profiles), "profile_index": tuple(index)}
+        fields.update(profiles=tuple(profiles), profile_index=tuple(index))
+        return fields
 
     def build_fleet(self) -> List[SRAMChip]:
         """Manufacture the campaign's devices (deterministic per seed)."""
@@ -382,7 +394,7 @@ class LongTermCampaign:
         :class:`~repro.errors.CampaignInterrupted` right after that
         month's checkpoint is on disk — the deterministic
         interruption hook the kill-and-resume tests and the CI
-        ``resume-smoke`` job use.
+        ``equivalence-matrix`` job use.
 
         ``stream`` (requires ``checkpoint_dir``) is a
         :class:`~repro.store.CampaignStreamWriter`: the artifact grows
@@ -447,22 +459,15 @@ class LongTermCampaign:
                 executor, progress, monitor, checkpoint_dir, abort_after_month,
                 stream=stream,
             )
-        if executor is None and self._max_workers > 1:
+        sharded_only = self._fail_board is not None or self._kernel == "vector"
+        if executor is None and (
+            self._max_workers > 1 or (chips is None and sharded_only)
+        ):
+            # Fault injection and the fleet kernel ride the (bit-identical)
+            # sharded path, so the serial loop stays the scalar reference.
             from repro.exec.executor import executor_for
 
             executor = executor_for(self._max_workers)
-        if executor is None and self._fail_board is not None and chips is None:
-            # The in-process serial loop has no fault-injection hook;
-            # route through the (bit-identical) sharded path instead.
-            from repro.exec.executor import executor_for
-
-            executor = executor_for(1)
-        if executor is None and self._kernel == "vector" and chips is None:
-            # The in-process serial loop has no fleet kernel; route
-            # through the (bit-identical) sharded path instead.
-            from repro.exec.executor import executor_for
-
-            executor = executor_for(1)
         if executor is not None:
             if chips is not None:
                 raise ConfigurationError(
@@ -581,13 +586,13 @@ class LongTermCampaign:
         progress: Optional[ProgressCallback],
         monitor: Optional["MonitorHub"],
     ) -> CampaignResult:
-        """The classic in-process month loop (reference implementation)."""
+        """The in-process month loop over live chips (reference implementation)."""
+        from repro.exec.stepper import ShardStepper
+        from repro.store.checkpoint import fold_counter_deltas
+
         metrics = get_metrics()
         tracer = get_tracer()
-        powerups = metrics.counter("campaign.powerups")
-        snapshots_done = metrics.counter("campaign.snapshots")
-        aging_steps = metrics.counter("campaign.aging_steps")
-        metrics.gauge("campaign.devices").set(self._device_count)
+        self._declare_instruments(metrics)
 
         with tracer.span(
             "campaign.run", devices=self._device_count, months=self._months
@@ -601,78 +606,87 @@ class LongTermCampaign:
                 self._months,
                 self._measurements,
             )
-
-            references = {chip.chip_id: chip.read_startup() for chip in fleet}
-            powerups.inc(len(fleet))  # the day-0 reference read-outs
-            temp_rng = self._seeds.stream("ambient-temperature")
-            # One simulator per distinct profile (an injected fleet may
-            # carry profiles the campaign's table does not know about).
-            simulators = {
-                chip_profile: AgingSimulator(chip_profile)
-                for chip_profile in dict.fromkeys(chip.profile for chip in fleet)
-            }
-
-            total_snapshots = self._months + 1
+            stepper = ShardStepper(
+                chips=fleet,
+                measurements=self._measurements,
+                statistical=self._statistical,
+                aging_acceleration=self._aging_acceleration,
+                aging_steps_per_month=self._aging_steps,
+            )
             snapshots: List[MonthlyEvaluation] = []
-            temperature = self._nominal_temperature
-            for month in range(self._months + 1):
-                if self._temperature_walk_k > 0.0:
-                    temperature += float(temp_rng.normal(0.0, self._temperature_walk_k))
-                snapshot_temp = temperature if self._temperature_walk_k > 0.0 else None
+            for month, temp in enumerate(self._month_temperatures()):
                 with tracer.span("campaign.month", month=month):
                     with tracer.span("campaign.measure"):
+                        (step,) = stepper.advance({month: temp}, age_last=False)
                         snapshots.append(
-                            evaluate_month(
-                                fleet,
-                                references,
-                                month=month,
-                                measurements=self._measurements,
-                                statistical=self._statistical,
-                                temperature_k=snapshot_temp,
-                            )
+                            assemble_evaluation(month, self._measurements, step.rows)
                         )
-                    powerups.inc(self._measurements * len(fleet))
-                    self._count_labeled_powerups(metrics, month)
-                    snapshots_done.inc()
-                    self._ingest_rollups(snapshots[-1])
-                    if monitor is not None:
-                        with get_profiler().phase(PHASE_MONITOR):
-                            monitor.observe_evaluation(snapshots[-1])
-                            monitor.observe_rollups(index=month)
-                            monitor.poll_counters(index=month)
-                    get_flight_recorder().record(
-                        "month",
-                        month=month,
-                        wchd_mean=float(snapshots[-1].wchd.mean()),
+                    self._publish_month(
+                        month, snapshots[-1], step.eval_deltas, monitor, progress
                     )
                     if month < self._months:
                         with tracer.span("campaign.age"):
-                            with get_profiler().phase(PHASE_AGING):
-                                for chip in fleet:
-                                    simulators[chip.profile].age_array_months(
-                                        chip.array,
-                                        self._aging_acceleration,
-                                        steps=self._aging_steps,
-                                    )
-                            aging_steps.inc(self._aging_steps * len(fleet))
-                logger.debug(
-                    "month %d/%d evaluated (WCHD mean %.4f)",
-                    month,
-                    self._months,
-                    float(snapshots[-1].wchd.mean()),
-                )
-                if progress is not None:
-                    progress(month + 1, total_snapshots)
+                            stepper.age()
+                            fold_counter_deltas(metrics, stepper.take_deltas()[1])
             logger.info("campaign finished: %d snapshots", len(snapshots))
 
+        return self._result(stepper.references, snapshots)
+
+    def _result(
+        self, references: Dict[int, np.ndarray], snapshots: List[MonthlyEvaluation]
+    ) -> CampaignResult:
+        """The finished campaign; ``references`` in fleet order."""
         return CampaignResult(
             profile_name=self._result_profile_name(),
             months=self._months,
             measurements=self._measurements,
-            board_ids=[chip.chip_id for chip in fleet],
+            board_ids=list(references),
             references=references,
             snapshots=snapshots,
         )
+
+    def _declare_instruments(self, metrics) -> None:
+        """Register the instrument set every path shares, so manifests match."""
+        metrics.counter("campaign.powerups")
+        metrics.counter("campaign.snapshots")
+        metrics.counter("campaign.aging_steps")
+        metrics.gauge("campaign.devices").set(self._device_count)
+
+    def _publish_month(
+        self,
+        month: int,
+        snapshot: MonthlyEvaluation,
+        deltas: Dict[str, int],
+        monitor: Optional["MonitorHub"],
+        progress: Optional[ProgressCallback],
+        rollup_docs: Optional[Dict[str, dict]] = None,
+    ) -> None:
+        """Make one finished month visible, the same way on every path.
+
+        Folds the month's counter deltas (everything counted since the
+        previous poll) into the parent registry, advances the labeled
+        and snapshot counters, ingests the month's rollups (worker
+        documents when given, else derived from ``snapshot``), feeds
+        the monitor its snapshot and counter poll, records the month in
+        the flight recorder and reports progress.
+        """
+        from repro.store.checkpoint import fold_counter_deltas
+
+        metrics = get_metrics()
+        fold_counter_deltas(metrics, deltas)
+        self._count_labeled_powerups(metrics, month)
+        metrics.counter("campaign.snapshots").inc()
+        self._ingest_rollups(snapshot, docs=rollup_docs)
+        if monitor is not None:
+            with get_profiler().phase(PHASE_MONITOR):
+                monitor.observe_evaluation(snapshot)
+                monitor.observe_rollups(index=month)
+                monitor.poll_counters(index=month)
+        wchd_mean = float(snapshot.wchd.mean())
+        get_flight_recorder().record("month", month=month, wchd_mean=wchd_mean)
+        logger.debug("month %d/%d (WCHD mean %.4f)", month, self._months, wchd_mean)
+        if progress is not None:
+            progress(month + 1, self._months + 1)
 
     def _rollup_shard_of(self, board_id: int) -> int:
         """Logical rollup shard of ``board_id`` (worker-count independent)."""
@@ -718,25 +732,22 @@ class LongTermCampaign:
                 size * per_board
             )
 
-    def _graft_worker_spans(self, parent_span, results) -> None:
-        """Attach worker-side span records under the dispatching span.
+    def _absorb_worker_traces(self, parent_span, results) -> None:
+        """Graft worker span records and merge worker phase timings.
 
-        Per-board records are concatenated across shards and sorted by
-        board id before grafting, so the merged tree's names, structure
-        and (after :meth:`~repro.telemetry.Tracer.assign_ids`) ids are
-        independent of worker count and dispatch order.  No-op when
-        tracing is off — workers then shipped no records.
+        Per-board span records are concatenated across shards and
+        sorted by board id before grafting under the dispatching span,
+        so the merged tree's names, structure and (after
+        :meth:`~repro.telemetry.Tracer.assign_ids`) ids are independent
+        of worker count and dispatch order.  Workers ship no records
+        when tracing is off, and no phase deltas when profiling is.
         """
-        if not get_tracer().enabled:
-            return
-        records = [record for result in results for record in result.spans]
-        records.sort(
-            key=lambda record: record.get("attributes", {}).get("board", -1)
-        )
-        graft_records(parent_span, records)
-
-    def _merge_worker_phases(self, results) -> None:
-        """Fold worker-side phase timer deltas into the parent profiler."""
+        if get_tracer().enabled:
+            records = sorted(
+                (record for result in results for record in result.spans),
+                key=lambda record: record.get("attributes", {}).get("board", -1),
+            )
+            graft_records(parent_span, records)
         profiler = get_profiler()
         for result in results:
             if result.phase_deltas:
@@ -800,11 +811,11 @@ class LongTermCampaign:
     def _month_temperatures(self) -> List[Optional[float]]:
         """Pre-draw every month's ambient measurement temperature.
 
-        Consumes the shared ``ambient-temperature`` stream exactly as
-        the serial loop does (one Gaussian step per snapshot), so the
-        sharded path hands workers the identical temperature sequence
-        without shipping the stream itself.  ``None`` entries mean
-        profile-nominal (walk disabled).
+        One Gaussian step of the shared ``ambient-temperature`` stream
+        per snapshot — the same sequence the checkpointed loop draws
+        month by month — so the sharded path hands workers the
+        identical temperatures without shipping the stream itself.
+        ``None`` entries mean profile-nominal (walk disabled).
         """
         if self._temperature_walk_k <= 0.0:
             return [None] * (self._months + 1)
@@ -825,27 +836,13 @@ class LongTermCampaign:
         from repro.exec.plan import ShardSpec, partition_boards
 
         temperatures = tuple(self._month_temperatures())
-        worker_rollups = self._rollup_shards if rollups_enabled() else 0
-        trace = get_tracer().context(phases=profiling_enabled())
         return [
             ShardSpec(
                 shard_index=index,
-                root_seed=self._seeds.root_seed,
                 board_ids=boards,
                 months=self._months,
-                measurements=self._measurements,
-                statistical=self._statistical,
                 temperatures=temperatures,
-                aging_steps_per_month=self._aging_steps,
-                aging_acceleration=self._aging_acceleration,
-                fail_board=(
-                    self._fail_board if self._fail_board in boards else None
-                ),
-                rollup_shards=worker_rollups,
-                fleet_size=self._device_count,
-                trace=trace,
-                kernel=self._kernel,
-                **self._profile_spec_fields(boards),
+                **self._spec_fields(boards),
             )
             for index, boards in enumerate(
                 partition_boards(range(self._device_count), shard_count)
@@ -858,25 +855,21 @@ class LongTermCampaign:
         progress: Optional[ProgressCallback],
         monitor: Optional["MonitorHub"],
     ) -> CampaignResult:
-        """Board-sharded execution: fan out, then merge in month order.
+        """Board-sharded execution: fan out, then publish in month order.
 
         Workers return per-board trajectories plus per-month telemetry
-        counter deltas; the merge loop folds each month's deltas into
-        the parent registry *before* that month's monitor poll, so the
+        counter deltas; each month's deltas fold into the parent
+        registry *before* that month's monitor poll, so the
         counter-rate series (and with it every alert sequence) matches
         the serial run poll for poll.
         """
-        from repro.exec.merge import collate_shard_results
+        from repro.exec.merge import collate_board_rows
+        from repro.exec.stepper import sum_counts
+        from repro.exec.worker import run_board_shard
+        from repro.telemetry.rollup import combine_rollup_docs
 
-        metrics = get_metrics()
         tracer = get_tracer()
-        powerups = metrics.counter("campaign.powerups")
-        snapshots_done = metrics.counter("campaign.snapshots")
-        # Same instrument set as the serial run (no worker-count gauge):
-        # a parallel run's manifest metrics must be indistinguishable
-        # from the serial run's.
-        metrics.counter("campaign.aging_steps")
-        metrics.gauge("campaign.devices").set(self._device_count)
+        self._declare_instruments(get_metrics())
 
         with tracer.span(
             "campaign.run",
@@ -896,66 +889,39 @@ class LongTermCampaign:
                 self._measurements,
             )
             with tracer.span("campaign.shards", shards=len(specs)) as shards_span:
-                results = executor.run_shards(specs)
-                self._graft_worker_spans(shards_span, results)
-            self._merge_worker_phases(results)
-            merged = collate_shard_results(board_ids, self._months, results)
+                results = executor.run_tasks(run_board_shard, specs)
+                self._absorb_worker_traces(shards_span, results)
+            rows = collate_board_rows(board_ids, self._months + 1, results)
             self._ingest_worker_resources(result.resources for result in results)
+            references = {
+                trajectory.board_id: trajectory.reference
+                for result in results
+                for trajectory in result.trajectories
+            }
 
-            total_snapshots = self._months + 1
             snapshots: List[MonthlyEvaluation] = []
             with tracer.span("campaign.merge"):
-                for month in range(total_snapshots):
-                    for name, delta in merged.counter_deltas[month].items():
-                        metrics.counter(name).inc(delta)
+                for month in range(self._months + 1):
                     snapshots.append(
                         assemble_evaluation(
                             month,
                             self._measurements,
-                            [merged.rows[board][month] for board in board_ids],
+                            [rows[board][month] for board in board_ids],
                         )
                     )
-                    self._count_labeled_powerups(metrics, month)
-                    snapshots_done.inc()
-                    self._ingest_rollups(
-                        snapshots[-1],
-                        docs=(
-                            merged.rollup_docs[month]
-                            if merged.rollup_docs
-                            else None
-                        ),
-                    )
-                    if monitor is not None:
-                        with get_profiler().phase(PHASE_MONITOR):
-                            monitor.observe_evaluation(snapshots[-1])
-                            monitor.observe_rollups(index=month)
-                            monitor.poll_counters(index=month)
-                    get_flight_recorder().record(
-                        "month",
-                        month=month,
-                        wchd_mean=float(snapshots[-1].wchd.mean()),
-                    )
-                    logger.debug(
-                        "month %d/%d merged (WCHD mean %.4f)",
+                    docs = [r.rollup_docs[month] for r in results if r.rollup_docs]
+                    self._publish_month(
                         month,
-                        self._months,
-                        float(snapshots[-1].wchd.mean()),
+                        snapshots[-1],
+                        sum_counts(result.counter_deltas[month] for result in results),
+                        monitor,
+                        progress,
+                        rollup_docs=combine_rollup_docs(docs) if docs else None,
                     )
-                    if progress is not None:
-                        progress(month + 1, total_snapshots)
-            logger.info(
-                "campaign finished (sharded): %d snapshots, %d power-ups",
-                len(snapshots),
-                powerups.value,
-            )
+            logger.info("campaign finished (sharded): %d snapshots", len(snapshots))
 
-        return CampaignResult(
-            profile_name=self._result_profile_name(),
-            months=self._months,
-            measurements=self._measurements,
-            board_ids=board_ids,
-            references=merged.references,
-            snapshots=snapshots,
+        return self._result(
+            {board: references[board] for board in board_ids}, snapshots
         )
 
     def _checkpoint_config(self) -> Dict:
@@ -1048,7 +1014,9 @@ class LongTermCampaign:
         its registry — and the monitor's alert sequence — to the exact
         interrupted-run state.
         """
+        from repro.exec.merge import collate_board_rows
         from repro.exec.plan import partition_boards
+        from repro.exec.stepper import sum_counts
         from repro.exec.windows import BoardWindowState, WindowSpec, run_board_window
         from repro.store.artifact import ArtifactStore
         from repro.store.checkpoint import (
@@ -1071,11 +1039,7 @@ class LongTermCampaign:
 
         metrics = get_metrics()
         tracer = get_tracer()
-        snapshots_done = metrics.counter("campaign.snapshots")
-        # Same instrument set as the serial run — see _run_sharded.
-        metrics.counter("campaign.powerups")
-        metrics.counter("campaign.aging_steps")
-        metrics.gauge("campaign.devices").set(self._device_count)
+        self._declare_instruments(metrics)
 
         checkpointer = CampaignCheckpointer(checkpoint_dir, self._checkpoint_config())
         board_ids = list(range(self._device_count))
@@ -1204,14 +1168,11 @@ class LongTermCampaign:
                         self._keyframe_every,
                         shard_boards,
                     )
-            worker_rollups = self._rollup_shards if rollups_enabled() else 0
-            trace_context = tracer.context(phases=profiling_enabled())
             try:
                 for month in range(start_month, total_snapshots):
                     if walk:
                         temperature += float(temp_rng.normal(0.0, self._temperature_walk_k))
                     snapshot_temp = temperature if walk else None
-                    apply_aging = month < self._months
                     if self._shard_store:
                         # Workers replay cold-restored months with the
                         # recorded block temperatures, so every spec
@@ -1222,13 +1183,8 @@ class LongTermCampaign:
                             WindowSpec(
                                 shard_index=index,
                                 month=month,
-                                root_seed=self._seeds.root_seed,
-                                measurements=self._measurements,
-                                statistical=self._statistical,
                                 temperature=snapshot_temp,
-                                apply_aging=apply_aging,
-                                aging_steps_per_month=self._aging_steps,
-                                aging_acceleration=self._aging_acceleration,
+                                apply_aging=month < self._months,
                                 boards=tuple(
                                     BoardWindowState(
                                         board_id=board,
@@ -1237,15 +1193,6 @@ class LongTermCampaign:
                                     )
                                     for board in boards
                                 ),
-                                fail_board=(
-                                    self._fail_board
-                                    if self._fail_board in boards
-                                    else None
-                                ),
-                                rollup_shards=worker_rollups,
-                                fleet_size=self._device_count,
-                                trace=trace_context,
-                                kernel=self._kernel,
                                 shard_store=(
                                     ShardStoreSpec(
                                         root=shard_root(checkpoint_dir, index),
@@ -1258,58 +1205,42 @@ class LongTermCampaign:
                                     if self._shard_store
                                     else None
                                 ),
-                                **self._profile_spec_fields(boards),
+                                **self._spec_fields(boards),
                             )
                             for index, boards in enumerate(shard_boards)
                         ]
                         results = executor.run_tasks(run_board_window, specs)
-                        self._graft_worker_spans(month_span, results)
-                        self._merge_worker_phases(results)
-                        rows: Dict[int, "BoardMonthMetrics"] = {}
-                        eval_deltas: Dict[str, int] = {}
-                        aging_deltas: Dict[str, int] = {}
-                        window_rollups: List[Dict[str, dict]] = []
+                        self._absorb_worker_traces(month_span, results)
+                        rows = collate_board_rows(board_ids, 1, results)
                         for result in results:
-                            rows.update(result.rows)
                             board_states.update(result.states)
                             references.update(result.references)
-                            for name, delta in result.eval_deltas.items():
-                                eval_deltas[name] = eval_deltas.get(name, 0) + delta
-                            for name, delta in result.aging_deltas.items():
-                                aging_deltas[name] = aging_deltas.get(name, 0) + delta
-                            if result.rollups:
-                                window_rollups.append(result.rollups)
-                        fold_counter_deltas(metrics, eval_deltas)
+                        window_rollups = [r.rollups for r in results if r.rollups]
                         snapshots.append(
                             assemble_evaluation(
                                 month,
                                 self._measurements,
-                                [rows[board] for board in board_ids],
+                                [rows[board][0] for board in board_ids],
                             )
                         )
-                        self._count_labeled_powerups(metrics, month)
-                        snapshots_done.inc()
-                        self._ingest_rollups(
+                        self._ingest_worker_resources(
+                            result.resources for result in results
+                        )
+                        self._publish_month(
+                            month,
                             snapshots[-1],
-                            docs=(
+                            sum_counts(result.eval_deltas for result in results),
+                            monitor,
+                            progress,
+                            rollup_docs=(
                                 combine_rollup_docs(window_rollups)
                                 if window_rollups
                                 else None
                             ),
                         )
-                        self._ingest_worker_resources(
-                            result.resources for result in results
-                        )
                         counter_deltas.append(recorder.take())
-                        if monitor is not None:
-                            with get_profiler().phase(PHASE_MONITOR):
-                                monitor.observe_evaluation(snapshots[-1])
-                                monitor.observe_rollups(index=month)
-                                monitor.poll_counters(index=month)
-                        get_flight_recorder().record(
-                            "month",
-                            month=month,
-                            wchd_mean=float(snapshots[-1].wchd.mean()),
+                        aging_deltas = sum_counts(
+                            result.aging_deltas for result in results
                         )
                         fold_counter_deltas(metrics, aging_deltas)
                         with tracer.span("campaign.checkpoint", month=month):
@@ -1351,14 +1282,6 @@ class LongTermCampaign:
                                         {board: references[board] for board in board_ids},
                                     )
                                 stream.append_snapshot(snapshots[-1])
-                    logger.debug(
-                        "month %d/%d checkpointed (WCHD mean %.4f)",
-                        month,
-                        self._months,
-                        float(snapshots[-1].wchd.mean()),
-                    )
-                    if progress is not None:
-                        progress(month + 1, total_snapshots)
                     if abort_after_month is not None and month >= abort_after_month:
                         raise CampaignInterrupted(
                             f"campaign interrupted after month {month} as requested; "
@@ -1375,11 +1298,6 @@ class LongTermCampaign:
                 stream.finalize()
             logger.info("campaign finished (checkpointed): %d snapshots", len(snapshots))
 
-        return CampaignResult(
-            profile_name=self._result_profile_name(),
-            months=self._months,
-            measurements=self._measurements,
-            board_ids=board_ids,
-            references={board: references[board] for board in board_ids},
-            snapshots=snapshots,
+        return self._result(
+            {board: references[board] for board in board_ids}, snapshots
         )

@@ -259,7 +259,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     uninterrupted run (see ``docs/storage.md``).  ``--abort-after-month``
     (or the ``REPRO_ABORT_AFTER_MONTH`` environment variable) interrupts
     deterministically after that month's checkpoint and exits with
-    code 3 — the CI resume-smoke job uses this to rehearse a crash.
+    code 3 — the CI equivalence-matrix job uses this to rehearse a crash.
 
     ``--stream-artifact`` writes the campaign artifact in the JSON
     Lines stream format (``docs/storage.md``): with

@@ -11,6 +11,9 @@ Layers (see ``docs/parallel.md`` for the full design):
 
 * :mod:`repro.exec.plan` — :class:`ShardSpec` work orders and the
   board partitioner.
+* :mod:`repro.exec.stepper` — :class:`ShardStepper`, the one
+  month-advance core every campaign path drives (both kernels), plus
+  the worker harness both worker entry points share.
 * :mod:`repro.exec.worker` — the ``spawn``-safe shard worker; returns
   trajectories plus per-month telemetry counter deltas.
 * :mod:`repro.exec.windows` — month-granular work orders for the
@@ -21,10 +24,10 @@ Layers (see ``docs/parallel.md`` for the full design):
   structured :class:`~repro.errors.CampaignExecutionError` on failure.
 * :mod:`repro.exec.pool` — :class:`WindowPool`, the persistent worker
   pool of the checkpointed path: one pool lifetime per campaign
-  instead of a respawn per month, enabling the workers' warm board
+  instead of a respawn per month, enabling the workers' warm stepper
   cache.
-* :mod:`repro.exec.merge` — coverage-checked re-keying of shard
-  results into fleet order.
+* :mod:`repro.exec.merge` — the coverage check both drivers run on
+  worker results before anything is merged.
 
 Entry points: :class:`~repro.analysis.campaign.LongTermCampaign` and
 :class:`~repro.core.assessment.LongTermAssessment` accept
@@ -38,9 +41,10 @@ from repro.exec.executor import (
     SerialExecutor,
     executor_for,
 )
-from repro.exec.merge import MergedShards, collate_shard_results
+from repro.exec.merge import collate_board_rows
 from repro.exec.plan import ShardSpec, partition_boards
 from repro.exec.pool import WindowPool
+from repro.exec.stepper import ShardStepper
 from repro.exec.windows import (
     BoardWindowState,
     WindowResult,
@@ -55,16 +59,16 @@ __all__ = [
     "BoardTrajectory",
     "BoardWindowState",
     "CampaignExecutor",
-    "MergedShards",
     "ParallelExecutor",
     "SerialExecutor",
     "ShardResult",
     "ShardSpec",
+    "ShardStepper",
     "WindowPool",
     "WindowResult",
     "WindowSpec",
     "clear_window_cache",
-    "collate_shard_results",
+    "collate_board_rows",
     "executor_for",
     "partition_boards",
     "run_board_shard",

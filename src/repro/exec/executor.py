@@ -1,7 +1,7 @@
 """Shard executors: where the planned work actually runs.
 
 Two interchangeable strategies behind one duck-typed surface
-(``max_workers`` attribute plus ``run_shards(specs)``):
+(``max_workers`` attribute plus ``run_tasks(fn, specs)``):
 
 :class:`SerialExecutor`
     Runs every shard in-process, in plan order.  Zero overhead, no
@@ -11,8 +11,9 @@ Two interchangeable strategies behind one duck-typed surface
 
 :class:`ParallelExecutor`
     Fans shards out over a :class:`concurrent.futures.ProcessPoolExecutor`
-    using the ``spawn`` start method — the only start method that is
-    safe on every platform and never inherits parent state (locks,
+    (a one-dispatch :class:`~repro.exec.pool.WindowPool`) using the
+    ``spawn`` start method — the only start method that is safe on
+    every platform and never inherits parent state (locks,
     open files, loaded RNG state) that could perturb determinism.
 
 Both return shard results **in plan order** regardless of completion
@@ -23,16 +24,9 @@ has not started; no partial fleet is ever returned.
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Sequence, Union
 
 from repro.errors import CampaignExecutionError, ConfigurationError
-from repro.exec.plan import ShardSpec
-from repro.exec.worker import ShardResult, run_board_shard
-
-logger = logging.getLogger(__name__)
 
 #: Start method used for worker processes.  ``fork`` would be faster on
 #: Linux but silently shares parent memory; ``spawn`` keeps workers
@@ -54,10 +48,6 @@ class SerialExecutor:
         both run through here.
         """
         return [fn(spec) for spec in specs]
-
-    def run_shards(self, specs: Sequence[ShardSpec]) -> List[ShardResult]:
-        """Execute every shard sequentially, in plan order."""
-        return self.run_tasks(run_board_shard, specs)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
@@ -85,47 +75,14 @@ class ParallelExecutor:
         ``fn`` must be a picklable module-level callable and every spec
         must expose ``shard_index`` and ``board_ids`` (for structured
         error reports) — :class:`~repro.exec.plan.ShardSpec` and
-        :class:`~repro.exec.windows.WindowSpec` both do.
+        :class:`~repro.exec.windows.WindowSpec` both do.  Each call
+        runs on a :class:`~repro.exec.pool.WindowPool` that lives for
+        this dispatch only.
         """
-        if not specs:
-            return []
-        if self.max_workers == 1 or len(specs) == 1:
-            # A pool of one only adds process overhead; keep semantics
-            # (including error wrapping) by running the worker inline.
-            return [self._guarded(lambda s=spec: fn(s), spec) for spec in specs]
-        context = multiprocessing.get_context(START_METHOD)
-        workers = min(self.max_workers, len(specs))
-        logger.info(
-            "dispatching %d tasks to %d %s workers", len(specs), workers, START_METHOD
-        )
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [pool.submit(fn, spec) for spec in specs]
-            results: List[Any] = []
-            try:
-                for spec, future in zip(specs, futures):
-                    results.append(self._guarded(future.result, spec))
-            except CampaignExecutionError:
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
-        return results
+        from repro.exec.pool import WindowPool
 
-    def run_shards(self, specs: Sequence[ShardSpec]) -> List[ShardResult]:
-        """Execute shards concurrently; results come back in plan order."""
-        return self.run_tasks(run_board_shard, specs)
-
-    @staticmethod
-    def _guarded(call, spec) -> Any:
-        """Run a zero-arg ``call`` and normalise failures to CampaignExecutionError."""
-        try:
-            return call()
-        except CampaignExecutionError:
-            raise
-        except Exception as exc:  # BrokenProcessPool, pickling errors, ...
-            raise CampaignExecutionError(
-                f"shard {spec.shard_index} (boards {list(spec.board_ids)}) "
-                f"died without a structured error: {exc}",
-                shard_index=spec.shard_index,
-            ) from exc
+        with WindowPool(self.max_workers) as pool:
+            return pool.run_tasks(fn, specs)
 
     def __repr__(self) -> str:
         return f"ParallelExecutor(max_workers={self.max_workers})"
@@ -141,3 +98,17 @@ def executor_for(max_workers: int) -> CampaignExecutor:
     if max_workers == 1:
         return SerialExecutor()
     return ParallelExecutor(max_workers)
+
+
+def guarded(call: Callable[[], Any], spec: Any) -> Any:
+    """Run a zero-arg ``call``, normalising failures to CampaignExecutionError."""
+    try:
+        return call()
+    except CampaignExecutionError:
+        raise
+    except Exception as exc:  # BrokenProcessPool, pickling errors, ...
+        raise CampaignExecutionError(
+            f"shard {spec.shard_index} (boards {list(spec.board_ids)}) "
+            f"died without a structured error: {exc}",
+            shard_index=spec.shard_index,
+        ) from exc

@@ -1,126 +1,68 @@
-"""Deterministic merging of shard results back into fleet order.
+"""The coverage check both campaign drivers run on worker results.
 
-Workers finish in arbitrary wall-clock order; the campaign's contract
-is that none of that ordering leaks into the result.
-:func:`collate_shard_results` therefore indexes every returned board
-trajectory by board id, verifies the plan was covered exactly (every
-expected board once, nothing extra, nothing missing), and re-emits
-
-* the day-0 references as a dict in fleet order (insertion order is
-  what campaign artifacts serialise),
-* the per-board monthly rows grouped by board id, and
-* the per-month telemetry counter deltas summed across shards,
-
-so the driver can rebuild snapshots month by month with
-:func:`~repro.analysis.monthly.assemble_evaluation` — byte-for-byte
-what the serial loop would have produced.
+Workers finish in arbitrary wall-clock order, and a driver bug or a
+worker returning the wrong boards must never be silently merged.
+:func:`collate_board_rows` indexes every returned board's rows by board
+id, verifies the plan was covered exactly — every expected board once,
+nothing extra, nothing missing, the right number of rows each — and
+returns the rows in fleet order, so the driver can rebuild snapshots
+month by month with :func:`~repro.analysis.monthly.assemble_evaluation`
+exactly as the serial loop does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import Any, Dict, List, Sequence
 
 from repro.analysis.monthly import BoardMonthMetrics
 from repro.errors import CampaignExecutionError
-from repro.exec.worker import ShardResult
-from repro.telemetry.rollup import combine_rollup_docs
 
 
-@dataclass(frozen=True)
-class MergedShards:
-    """Shard results re-keyed into fleet order, ready for assembly."""
+def collate_board_rows(
+    board_ids: Sequence[int], snapshots: int, results: Sequence[Any]
+) -> Dict[int, List[BoardMonthMetrics]]:
+    """Check that ``results`` cover ``board_ids`` exactly; rows in fleet order.
 
-    board_ids: List[int]
-    references: Dict[int, np.ndarray] = field(repr=False)
-    #: ``rows[board_id][m]`` is that board's share of snapshot ``m``.
-    rows: Dict[int, List[BoardMonthMetrics]] = field(repr=False)
-    #: ``counter_deltas[m]`` sums every shard's month-``m`` counter
-    #: advance; the driver folds these into the parent registry before
-    #: the month-``m`` monitor poll.
-    counter_deltas: List[Dict[str, int]] = field(repr=False)
-    #: ``rollup_docs[m]`` is the exact merge of every worker's partial
-    #: rollup documents for month ``m`` (empty maps when workers ran
-    #: without rollups).  Because the merge is exact, the documents are
-    #: independent of the executor's shard count.
-    rollup_docs: List[Dict[str, dict]] = field(default_factory=list, repr=False)
-
-
-def collate_shard_results(
-    board_ids: Sequence[int], months: int, results: Sequence[ShardResult]
-) -> MergedShards:
-    """Validate shard coverage and re-key results into fleet order.
-
-    Raises :class:`~repro.errors.CampaignExecutionError` when the
-    results do not cover ``board_ids`` exactly — a driver bug or a
-    worker returning the wrong boards must never be silently merged.
+    ``results`` are :class:`~repro.exec.worker.ShardResult` or
+    :class:`~repro.exec.windows.WindowResult` objects (both expose
+    ``board_rows()``).  Raises :class:`~repro.errors.CampaignExecutionError`
+    when a board is missing, returned twice, unplanned, or has other
+    than ``snapshots`` rows.
     """
     expected = [int(b) for b in board_ids]
-    trajectories = {}
+    rows: Dict[int, List[BoardMonthMetrics]] = {}
+    owners: Dict[int, int] = {}
     for result in results:
-        for trajectory in result.trajectories:
-            if trajectory.board_id in trajectories:
+        for board_id, board_rows in result.board_rows().items():
+            if board_id in rows:
                 raise CampaignExecutionError(
-                    f"board {trajectory.board_id} returned by more than one shard",
-                    board_id=trajectory.board_id,
+                    f"board {board_id} returned by more than one shard",
+                    board_id=board_id,
                     shard_index=result.shard_index,
                 )
-            trajectories[trajectory.board_id] = (trajectory, result.shard_index)
+            rows[board_id] = board_rows
+            owners[board_id] = result.shard_index
 
-    missing = [b for b in expected if b not in trajectories]
+    missing = [b for b in expected if b not in rows]
     if missing:
         raise CampaignExecutionError(
             f"shard results are missing boards {missing}; refusing to merge "
             f"a partial fleet",
             board_id=missing[0],
         )
-    extra = sorted(set(trajectories) - set(expected))
+    extra = sorted(set(rows) - set(expected))
     if extra:
         raise CampaignExecutionError(
             f"shard results contain unplanned boards {extra}",
             board_id=extra[0],
-            shard_index=trajectories[extra[0]][1],
+            shard_index=owners[extra[0]],
         )
-
-    for board_id, (trajectory, shard_index) in trajectories.items():
-        if len(trajectory.months) != months + 1:
+    for board_id in expected:
+        if len(rows[board_id]) != snapshots:
             raise CampaignExecutionError(
-                f"board {board_id} returned {len(trajectory.months)} monthly "
-                f"rows, expected {months + 1}",
+                f"board {board_id} returned {len(rows[board_id])} monthly "
+                f"rows, expected {snapshots}",
                 board_id=board_id,
-                shard_index=shard_index,
+                shard_index=owners[board_id],
             )
-
-    counter_deltas: List[Dict[str, int]] = [{} for _ in range(months + 1)]
-    for result in results:
-        if len(result.counter_deltas) != months + 1:
-            raise CampaignExecutionError(
-                f"shard {result.shard_index} returned "
-                f"{len(result.counter_deltas)} counter-delta rows, "
-                f"expected {months + 1}",
-                shard_index=result.shard_index,
-            )
-        for month, deltas in enumerate(result.counter_deltas):
-            bucket = counter_deltas[month]
-            for name, delta in deltas.items():
-                bucket[name] = bucket.get(name, 0) + delta
-
-    rollup_docs: List[Dict[str, dict]] = []
-    if any(result.rollup_docs for result in results):
-        ordered = sorted(results, key=lambda r: r.shard_index)
-        for month in range(months + 1):
-            rollup_docs.append(
-                combine_rollup_docs(
-                    [r.rollup_docs[month] for r in ordered if r.rollup_docs]
-                )
-            )
-
-    return MergedShards(
-        board_ids=expected,
-        references={b: trajectories[b][0].reference for b in expected},
-        rows={b: trajectories[b][0].months for b in expected},
-        counter_deltas=counter_deltas,
-        rollup_docs=rollup_docs,
-    )
+    return {b: rows[b] for b in expected}

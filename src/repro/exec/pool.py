@@ -1,22 +1,22 @@
 """Persistent worker pool for month-windowed campaigns.
 
-:class:`~repro.exec.executor.ParallelExecutor` builds a fresh
-``ProcessPoolExecutor`` for every ``run_tasks`` call.  That is the
-right shape for the full-trajectory sharded path — one dispatch per
-campaign — but the checkpointed month-window driver dispatches once
-*per month*, so a 24-month campaign paid 25 rounds of ``spawn``
-start-up (interpreter boot + numpy import per worker, the dominant
-cost for small fleets).
+The checkpointed month-window driver dispatches once *per month*; a
+fresh ``ProcessPoolExecutor`` per dispatch would pay 25 rounds of
+``spawn`` start-up (interpreter boot + numpy import per worker, the
+dominant cost for small fleets) over a 24-month campaign.
 
 :class:`WindowPool` keeps one pool alive for the whole campaign.  It
 exposes the same duck-typed executor surface (``max_workers`` plus
 ``run_tasks``), so :meth:`LongTermCampaign.run` can adopt it
 transparently, tests can inject it, and the serial≡parallel
-byte-identity suite gates it like any other executor.  Keeping workers
-alive is also what makes the warm board cache in
-:mod:`repro.exec.windows` effective: month *m+1*'s window for a board
-usually lands in the process that just computed month *m*'s outbound
-state, so the digest matches and deserialization is skipped.
+byte-identity suite gates it like any other executor;
+:class:`~repro.exec.executor.ParallelExecutor` runs each dispatch on a
+pool of its own.  Keeping workers alive is also what makes the warm
+stepper cache in :mod:`repro.exec.windows` effective.  Idle workers
+take queued tasks in the order they went idle, so each dispatch
+submits its tasks in the order the previous dispatch's tasks finished:
+month *m+1*'s window for a shard then lands in the process that just
+ran month *m*, its inbound proof matches and no state is deserialized.
 
 The pool defaults to the ``spawn`` start method for the same hermetic
 determinism reasons as :data:`repro.exec.executor.START_METHOD`;
@@ -26,8 +26,9 @@ state inheritance).
 
 Determinism note: task→worker *placement* is scheduler-dependent, but
 results are collected in plan order and every window is a pure
-function of its spec (the warm cache is digest-gated), so outputs are
-byte-identical regardless of placement.
+function of its spec (the warm cache is proof-gated), so outputs are
+byte-identical regardless of placement; placement only decides how
+often the cache hits.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import CampaignExecutionError, ConfigurationError
-from repro.exec.executor import START_METHOD, ParallelExecutor
+from repro.exec.executor import START_METHOD, guarded
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +78,8 @@ class WindowPool:
         self.spawn_count = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_size = 0
+        #: Task indices of the previous dispatch in completion order.
+        self._finish_order: List[int] = []
 
     @classmethod
     def adopt(cls, executor: Any) -> "WindowPool | Any":
@@ -95,6 +98,7 @@ class WindowPool:
         if self._pool is None or self._pool_size < workers:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
+                self._finish_order = []
             context = multiprocessing.get_context(self.start_method)
             self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
             self._pool_size = workers
@@ -114,22 +118,33 @@ class WindowPool:
         :class:`~repro.errors.CampaignExecutionError` on failure — but
         the pool survives the call.  A failure *discards* the pool
         (worker processes may be poisoned); the next dispatch respawns.
+        Results come back in plan order whatever order tasks are
+        submitted and finish in.
         """
         if not specs:
             return []
         if self.max_workers == 1 or len(specs) == 1:
-            return [
-                ParallelExecutor._guarded(lambda s=spec: fn(s), spec) for spec in specs
-            ]
+            return [guarded(lambda s=spec: fn(s), spec) for spec in specs]
         pool = self._ensure_pool(min(self.max_workers, len(specs)))
-        futures = [pool.submit(fn, spec) for spec in specs]
+        # Idle workers take queued tasks in the order they went idle, and
+        # the worker that finished first last time went idle first: hand
+        # it the task it finished, so each shard's windows stay in the
+        # process holding its warm stepper.
+        order = [i for i in self._finish_order if i < len(specs)]
+        order += [i for i in range(len(specs)) if i not in order]
+        finished: List[int] = []
+        futures: List[Any] = [None] * len(specs)
+        for index in order:
+            futures[index] = pool.submit(fn, specs[index])
+            futures[index].add_done_callback(lambda _, i=index: finished.append(i))
         results: List[Any] = []
         try:
             for spec, future in zip(specs, futures):
-                results.append(ParallelExecutor._guarded(future.result, spec))
+                results.append(guarded(future.result, spec))
         except CampaignExecutionError:
             self.close()
             raise
+        self._finish_order = finished
         return results
 
     def close(self) -> None:
@@ -138,6 +153,7 @@ class WindowPool:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
             self._pool_size = 0
+            self._finish_order = []
             logger.info("window pool closed")
 
     def __enter__(self) -> "WindowPool":

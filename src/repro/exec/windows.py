@@ -1,111 +1,67 @@
 """Month-window workers: one month of one shard's boards at a time.
 
-The checkpointed campaign path cannot hand workers full-trajectory
-:class:`~repro.exec.plan.ShardSpec` orders — a checkpoint must be cut
-*between* months, which requires the driver to get control back after
-every month.  This module supplies the finer-grained work order:
-:class:`WindowSpec` describes one month of one shard, carrying each
-board *by value* as a :class:`BoardWindowState` (serialized device
-state, or ``None`` at month 0 to manufacture the board in the worker),
-and :func:`run_board_window` executes it.
+The checkpointed campaign path must cut a checkpoint *between* months,
+so it cannot hand workers full-trajectory
+:class:`~repro.exec.plan.ShardSpec` orders.  :class:`WindowSpec`
+describes one month of one shard instead, carrying each board *by
+value* as a :class:`BoardWindowState` (serialized device state, or
+``None`` at month 0 to manufacture the board in the worker), and
+:func:`run_board_window` advances it one month on a
+:class:`~repro.exec.stepper.ShardStepper`.  Device state round-trips
+exactly through :func:`repro.store.checkpoint.board_state_doc`, and the
+same pipeline runs under every executor, so checkpoint files — not
+just results — are byte-identical across worker counts.  Counter
+deltas come back split into *evaluation* deltas (folded before the
+month's monitor poll) and *aging* deltas (folded after).
 
-Draw-order equivalence with the serial loop holds because boards never
-share random streams: each board's stream sees manufacture → day-0
-reference → month-0 block → month-0 aging → month-1 block → … in both
-schedules, and the device state between windows round-trips exactly
-through :func:`repro.store.checkpoint.board_state_doc`.  The same
-window pipeline runs under :class:`~repro.exec.executor.SerialExecutor`
-and :class:`~repro.exec.executor.ParallelExecutor`, which is why
-checkpoint files — not just results — are byte-identical across worker
-counts.
-
-Telemetry follows the shard-worker convention: windows count work on
-private registries and return deltas, split into *evaluation* deltas
-(folded before the month's monitor poll) and *aging* deltas (folded
-after, visible at the next poll) so the driver reproduces the serial
-counter trajectory poll for poll.
-
-Workers keep a **warm board cache**: after every window the live chip
-is remembered keyed by ``(board_id, state_digest)``, where the digest
-is taken over the exact state document the driver will send back next
-month.  When the next window for that board lands on the same worker
-(the common case under :class:`~repro.exec.pool.WindowPool`, which
-keeps workers alive for the whole campaign) the incoming digest matches
-and the worker skips re-deserializing 8 K cells of skew state.  A hit
-is *provably* equivalent to a restore — the digest only matches when
-the cached chip's current state equals the requested inbound state, and
-``restore_chip(board_state_doc(chip))`` round-trips bit-exactly — so
-the serial≡parallel byte-identity gates hold with the cache on.
+Workers keep a **warm stepper cache**: after every window the live
+stepper is remembered under the shard's board-id tuple together with a
+*proof* of the state it is at.  The next window for that shard reuses
+it only when its inbound proof matches — the per-board
+:func:`state_digest` tuple of a monolithic window, or ``(shard root,
+config digest, completed month)`` under a sharded store, where device
+state never leaves the worker.  A hit is provably equivalent to a
+restore (``restore_chip(board_state_doc(chip))`` round-trips
+bit-exactly); a miss restores from the inbound state documents, or
+cold-restores a sharded window from the shard's newest keyframe and
+silently replays the months after it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.monthly import BoardMonthMetrics, evaluate_board, evaluate_fleet
+from repro.analysis.monthly import BoardMonthMetrics
 from repro.errors import CampaignExecutionError
-from repro.exec.plan import normalize_profile_fields, rollup_shard_of
-from repro.rng import SeedHierarchy
-from repro.sram.aging import AgingSimulator
-from repro.sram.chip import SRAMChip
-from repro.sram.fleetkernel import build_fleet_kernel, validate_kernel
+from repro.exec.plan import normalize_profile_fields
+from repro.exec.stepper import ShardStepper, protocol_of, rollup_builder, worker_harness
+from repro.sram.fleetkernel import validate_kernel
 from repro.sram.profiles import DeviceProfile
-from repro.store.checkpoint import (
-    board_state_doc,
-    board_state_from_doc,
-    board_state_to_doc,
-    load_latest_shard_keyframe,
-    restore_chip,
-)
+from repro.store.checkpoint import load_latest_shard_keyframe
 from repro.store.shardstore import ShardStoreSpec, persist_shard_window
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiling import PHASE_AGING, PHASE_STORE_IO, PhaseProfiler
-from repro.telemetry.resources import ResourceSampler
-from repro.telemetry.rollup import ROLLUP_STATS, ShardRollupBuilder
-from repro.telemetry.runtime import get_profiler, install_profiler
-from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer, span_record
+from repro.telemetry.profiling import PHASE_STORE_IO
+from repro.telemetry.runtime import get_profiler
+from repro.telemetry.tracing import TraceContext
 
 logger = logging.getLogger(__name__)
 
-#: Warm per-process board cache: board_id -> (state digest, chip, reference).
-#: Lives in each worker process; bounded by the fleets the worker has seen.
-_BOARD_CACHE: Dict[int, Tuple[str, Any, Optional[np.ndarray]]] = {}
+#: Warm per-process steppers: the shard's board-id tuple ->
+#: (proof, stepper).  A stepper is taken out while its window runs and
+#: put back only when the window succeeds, so a failed window never
+#: leaves a half-advanced stepper behind.
+_STEPPERS: Dict[Tuple[int, ...], Tuple[tuple, ShardStepper]] = {}
 
-#: Safety valve for very long-lived processes cycling through many
-#: campaigns: past this many distinct boards the cache starts over.
-_BOARD_CACHE_LIMIT = 256
+#: Safety valve for long-lived processes cycling through many
+#: campaigns: past this many shards the cache starts over.
+_STEPPER_LIMIT = 32
 
 _CACHE_STATS = {"hits": 0, "misses": 0}
-
-#: Warm per-process fleet cache for the vector kernel: the window's
-#: board-ids tuple -> (per-board state digests, live FleetKernel).
-#: Same provable-equivalence argument as the board cache — an entry is
-#: only reused when every board's inbound digest matches the cached
-#: fleet's exported state, so a hit merely skips B deserializations.
-_FLEET_CACHE: Dict[Tuple[int, ...], Tuple[Tuple[str, ...], Any]] = {}
-
-#: Fleet-cache safety valve (entries are whole fleets, so keep few).
-_FLEET_CACHE_LIMIT = 8
-
-#: Sharded-store state carry: ``(shard root, config digest)`` ->
-#: ``(completed month, board state docs)``.  Under a sharded store the
-#: driver sends ``state=None`` for every board (device state never
-#: leaves the worker); the worker that ran the shard's previous month
-#: finds it here, any other worker cold-restores from the shard's own
-#: newest keyframe and silently replays the gap.  Keyed by config
-#: digest so two campaigns sharing a process can never cross-feed.
-_SHARD_STATE_CACHE: Dict[Tuple[str, str], Tuple[int, Dict[int, Dict[str, Any]]]] = {}
-
-#: Shard-state safety valve: entries hold a whole shard's state docs,
-#: and a serial executor walks every shard through one process.
-_SHARD_STATE_CACHE_LIMIT = 64
 
 
 def state_digest(state: Dict[str, Any]) -> str:
@@ -120,187 +76,32 @@ def state_digest(state: Dict[str, Any]) -> str:
 
 
 def window_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters of this process's warm board cache."""
+    """Per-board hit/miss counters of this process's warm stepper cache."""
     return dict(_CACHE_STATS)
 
 
 def clear_window_cache() -> None:
-    """Drop the warm board/fleet/shard caches and zero their statistics."""
-    _BOARD_CACHE.clear()
-    _FLEET_CACHE.clear()
-    _SHARD_STATE_CACHE.clear()
+    """Drop the warm steppers and zero their statistics."""
+    _STEPPERS.clear()
     _CACHE_STATS["hits"] = 0
     _CACHE_STATS["misses"] = 0
 
 
-def _cached_chip(board: "BoardWindowState"):
-    """The warm chip for a board's inbound state, or a fresh restore.
+def _warm(key: Tuple[int, ...], proof: tuple) -> Optional[ShardStepper]:
+    """Take the cached stepper out if its proof matches ``proof``.
 
-    A cache entry is only used when its digest matches the inbound
-    state exactly — i.e. the cached live chip *is* at the requested
-    draw position — so a hit changes nothing about the results, only
-    skips the deserialization.
+    Statistics count one per board, so they compare across kernels.
     """
-    digest = state_digest(board.state)
-    cached = _BOARD_CACHE.get(board.board_id)
-    if cached is not None and cached[0] == digest:
-        _CACHE_STATS["hits"] += 1
-        return cached[1]
-    _CACHE_STATS["misses"] += 1
-    return None
+    cached = _STEPPERS.pop(key, None)
+    hit = cached is not None and cached[0] == proof
+    _CACHE_STATS["hits" if hit else "misses"] += len(key)
+    return cached[1] if hit else None
 
 
-def _remember_chip(board_id: int, digest: str, chip, reference) -> None:
-    if board_id not in _BOARD_CACHE and len(_BOARD_CACHE) >= _BOARD_CACHE_LIMIT:
-        _BOARD_CACHE.clear()
-    _BOARD_CACHE[board_id] = (digest, chip, reference)
-
-
-def _cached_fleet(board_ids: Tuple[int, ...], digests: Tuple[str, ...]):
-    """The warm FleetKernel at these boards' inbound states, or ``None``.
-
-    Hit/miss statistics count one per board, mirroring the scalar board
-    cache, so ``window_cache_stats`` stays comparable across kernels.
-    """
-    cached = _FLEET_CACHE.get(board_ids)
-    if cached is not None and cached[0] == digests:
-        _CACHE_STATS["hits"] += len(board_ids)
-        return cached[1]
-    _CACHE_STATS["misses"] += len(board_ids)
-    return None
-
-
-def _remember_fleet(
-    board_ids: Tuple[int, ...], digests: Tuple[str, ...], kernel
-) -> None:
-    if board_ids not in _FLEET_CACHE and len(_FLEET_CACHE) >= _FLEET_CACHE_LIMIT:
-        _FLEET_CACHE.clear()
-    _FLEET_CACHE[board_ids] = (digests, kernel)
-
-
-def _remember_shard_states(
-    shard_store: ShardStoreSpec, month: int, states: Dict[int, Dict[str, Any]]
-) -> None:
-    key = (shard_store.root, shard_store.config_digest)
-    if key not in _SHARD_STATE_CACHE and len(_SHARD_STATE_CACHE) >= _SHARD_STATE_CACHE_LIMIT:
-        _SHARD_STATE_CACHE.clear()
-    _SHARD_STATE_CACHE[key] = (month, states)
-
-
-def _restore_shard_states(spec: "WindowSpec") -> Dict[int, Dict[str, Any]]:
-    """Cold-restore a shard's board states for a month-``m`` window.
-
-    Loads the shard's newest keyframe at or below month ``m-1`` and
-    *silently replays* the months in between — the same measurement and
-    aging calls the original months made, with the recorded block
-    temperatures, so every board's RNG stream lands on exactly the draw
-    position the warm path would have.  Replay touches no telemetry
-    registries and no rollup builders: the replayed months were already
-    counted and persisted by the run that first executed them.
-    """
-    shard_store = spec.shard_store
-    if len(shard_store.temperatures) < spec.month:
-        raise CampaignExecutionError(
-            f"shard store spec of shard {spec.shard_index} carries "
-            f"{len(shard_store.temperatures)} month temperatures, month "
-            f"{spec.month} window needs the full history",
-            shard_index=spec.shard_index,
-        )
-    keyframe = load_latest_shard_keyframe(shard_store.root, max_month=spec.month - 1)
-    states = {board: dict(doc) for board, doc in keyframe.boards.items()}
-    if set(states) != set(spec.board_ids):
-        raise CampaignExecutionError(
-            f"shard {spec.shard_index} keyframe covers boards "
-            f"{sorted(states)}, window expects {sorted(spec.board_ids)}",
-            shard_index=spec.shard_index,
-        )
-    gap = range(keyframe.completed_month + 1, spec.month)
-    logger.info(
-        "shard %d cold restore from keyframe month %d (replaying %d month(s))",
-        spec.shard_index,
-        keyframe.completed_month,
-        len(gap),
-    )
-    if not gap:
-        return states
-    references = {board.board_id: board.reference for board in spec.boards}
-    if spec.kernel == "vector":
-        kernel = build_fleet_kernel(
-            spec.board_ids,
-            spec.board_profiles,
-            states={
-                board: board_state_from_doc(states[board])
-                for board in spec.board_ids
-            },
-        )
-        for month in gap:
-            evaluate_fleet(
-                kernel,
-                references,
-                measurements=spec.measurements,
-                statistical=spec.statistical,
-                temperature_k=shard_store.temperatures[month],
-            )
-            kernel.age_months(
-                spec.aging_acceleration, steps=spec.aging_steps_per_month
-            )
-        raw_states = kernel.export_states()
-        states = {
-            board: board_state_to_doc(raw_states[board])
-            for board in spec.board_ids
-        }
-        _remember_fleet(
-            spec.board_ids,
-            tuple(state_digest(states[board]) for board in spec.board_ids),
-            kernel,
-        )
-    else:
-        simulators = {profile: AgingSimulator(profile) for profile in spec.profiles}
-        replayed: Dict[int, Dict[str, Any]] = {}
-        for position, board in enumerate(spec.boards):
-            profile = spec.profile_for_position(position)
-            chip = restore_chip(board.board_id, profile, states[board.board_id])
-            for month in gap:
-                evaluate_board(
-                    chip,
-                    board.reference,
-                    measurements=spec.measurements,
-                    statistical=spec.statistical,
-                    temperature_k=shard_store.temperatures[month],
-                )
-                simulators[profile].age_array_months(
-                    chip.array,
-                    spec.aging_acceleration,
-                    steps=spec.aging_steps_per_month,
-                )
-            doc = board_state_doc(chip)
-            replayed[board.board_id] = doc
-            _remember_chip(board.board_id, state_digest(doc), chip, board.reference)
-        states = replayed
-    return states
-
-
-def _attach_shard_states(spec: "WindowSpec") -> "WindowSpec":
-    """Fill a sharded window's ``state=None`` boards with real state.
-
-    The warm path is the shard-state carry of the worker that ran this
-    shard's previous month; any other worker (or a resumed process)
-    cold-restores from the shard's own keyframe chain via
-    :func:`_restore_shard_states`.
-    """
-    shard_store = spec.shard_store
-    cached = _SHARD_STATE_CACHE.get((shard_store.root, shard_store.config_digest))
-    if cached is not None and cached[0] == spec.month - 1:
-        states = cached[1]
-        if set(states) != set(spec.board_ids):
-            states = _restore_shard_states(spec)
-    else:
-        states = _restore_shard_states(spec)
-    boards = tuple(
-        dataclasses.replace(board, state=states[board.board_id])
-        for board in spec.boards
-    )
-    return dataclasses.replace(spec, boards=boards)
+def _remember(key: Tuple[int, ...], proof: tuple, stepper: ShardStepper) -> None:
+    if len(_STEPPERS) >= _STEPPER_LIMIT:
+        _STEPPERS.clear()
+    _STEPPERS[key] = (proof, stepper)
 
 
 @dataclass(frozen=True)
@@ -374,10 +175,6 @@ class WindowSpec:
         """Boards of this window (for executor error reports)."""
         return tuple(board.board_id for board in self.boards)
 
-    def profile_for_position(self, position: int) -> DeviceProfile:
-        """The profile of ``boards[position]``."""
-        return self.profiles[self.profile_index[position]]
-
     @property
     def board_profiles(self) -> Tuple[DeviceProfile, ...]:
         """Per-board profiles, aligned with ``boards``."""
@@ -410,107 +207,102 @@ class WindowResult:
     #: ``WindowSpec.trace.phases`` was set.
     phase_deltas: Dict[str, Dict[str, float]] = field(default_factory=dict, repr=False)
 
-
-def _registry_deltas(registry: MetricsRegistry) -> Dict[str, int]:
-    """Non-zero counter values of a private window registry."""
-    return {
-        name: int(doc["value"])
-        for name, doc in registry.snapshot().items()
-        if doc["type"] == "counter" and doc["value"]
-    }
+    def board_rows(self) -> Dict[int, List[BoardMonthMetrics]]:
+        """Every returned board's rows — one each (for coverage checks)."""
+        return {board: [row] for board, row in self.rows.items()}
 
 
-def _run_window_vector(
-    spec: WindowSpec,
-    powerups,
-    aging_steps,
-    builder: Optional[ShardRollupBuilder],
-    tracer: Optional[Tracer],
-):
-    """One month of the window's boards, batched on a FleetKernel.
+def _cold_restore(spec: "WindowSpec", references) -> ShardStepper:
+    """Rebuild a sharded window's boards from the shard's own store.
 
-    Returns ``(rows, states, references)`` with exactly the scalar
-    loop's contents: same draw order per board, same counter deltas,
-    same rollup observation order, byte-identical state documents.
-    The fleet advances as one unit, so the ``fail_board`` fault hook
-    fires before any board is touched.
+    Loads the shard's newest keyframe at or below month ``m-1`` and
+    *silently replays* the months in between with the recorded block
+    temperatures, so every board's RNG stream lands on exactly the draw
+    position the warm path would have.  The replay observes nothing —
+    no spans, no rollups, and its counter deltas are dropped: the
+    replayed months were already counted and persisted by the run that
+    first executed them.
     """
-    if spec.fail_board is not None and spec.fail_board in spec.board_ids:
+    shard_store = spec.shard_store
+    if len(shard_store.temperatures) < spec.month:
         raise CampaignExecutionError(
-            f"board {spec.fail_board} failed in month-{spec.month} window "
-            f"of shard {spec.shard_index}: injected fault (WindowSpec.fail_board)",
-            board_id=spec.fail_board,
+            f"shard store spec of shard {spec.shard_index} carries "
+            f"{len(shard_store.temperatures)} month temperatures, month "
+            f"{spec.month} window needs the full history",
             shard_index=spec.shard_index,
         )
-    board_ids = spec.board_ids
-    fresh = [board.board_id for board in spec.boards if board.state is None]
-    references: Dict[int, np.ndarray] = {}
-    new_references: Dict[int, np.ndarray] = {}
-    with tracer.span("worker.fleet", boards=len(board_ids)) if tracer is not None else NULL_SPAN:
-        if len(fresh) == len(spec.boards):
-            kernel = build_fleet_kernel(
-                board_ids, spec.board_profiles, root_seed=spec.root_seed
+    keyframe = load_latest_shard_keyframe(shard_store.root, max_month=spec.month - 1)
+    if set(keyframe.boards) != set(spec.board_ids):
+        raise CampaignExecutionError(
+            f"shard {spec.shard_index} keyframe covers boards "
+            f"{sorted(keyframe.boards)}, window expects {sorted(spec.board_ids)}",
+            shard_index=spec.shard_index,
+        )
+    gap = range(keyframe.completed_month + 1, spec.month)
+    logger.info(
+        "shard %d cold restore from keyframe month %d (replaying %d month(s))",
+        spec.shard_index,
+        keyframe.completed_month,
+        len(gap),
+    )
+    stepper = ShardStepper.build(
+        spec.kernel,
+        spec.board_ids,
+        spec.board_profiles,
+        states=keyframe.boards,
+        references=references,
+        **protocol_of(spec),
+    )
+    stepper.advance(
+        {month: shard_store.temperatures[month] for month in gap}, age_last=True
+    )
+    return stepper
+
+
+def _checkout(spec: "WindowSpec") -> ShardStepper:
+    """The window's stepper.
+
+    Month 0 manufactures the boards; later months take the warm stepper
+    when the inbound proof matches, and otherwise restore — from the
+    inbound state documents (monolithic) or the shard's keyframe chain
+    (sharded store, where boards arrive with ``state=None``).
+    """
+    key = spec.board_ids
+    protocol = protocol_of(spec)
+    states = [board.state for board in spec.boards]
+    if spec.shard_store is None or spec.month == 0:
+        if all(state is None for state in states):
+            return ShardStepper.build(
+                spec.kernel,
+                key,
+                spec.board_profiles,
+                root_seed=spec.root_seed,
+                **protocol,
             )
-            reference_rows = kernel.read_startup()
-            powerups.inc(len(board_ids))  # the day-0 reference read-outs
-            for index, board_id in enumerate(kernel.board_ids):
-                references[board_id] = reference_rows[index]
-            new_references = dict(references)
-        elif fresh:
+        if any(state is None for state in states):
             raise CampaignExecutionError(
-                f"vector kernel needs a uniform window: boards {fresh} have no "
-                f"state while others do (month-{spec.month} window of shard "
-                f"{spec.shard_index})",
+                f"a window needs every board's state or none: boards "
+                f"{[b.board_id for b in spec.boards if b.state is None]} have "
+                f"no state (month-{spec.month} window of shard {spec.shard_index})",
                 shard_index=spec.shard_index,
             )
-        else:
-            digests = tuple(state_digest(board.state) for board in spec.boards)
-            kernel = _cached_fleet(board_ids, digests)
-            if kernel is None:
-                kernel = build_fleet_kernel(
-                    board_ids,
-                    spec.board_profiles,
-                    states={
-                        board.board_id: board_state_from_doc(board.state)
-                        for board in spec.boards
-                    },
-                )
-            references = {board.board_id: board.reference for board in spec.boards}
-        with tracer.span("fleet.measure") if tracer is not None else NULL_SPAN:
-            fleet_rows = evaluate_fleet(
-                kernel,
-                references,
-                measurements=spec.measurements,
-                statistical=spec.statistical,
-                temperature_k=spec.temperature,
-            )
-        rows = {row.board_id: row for row in fleet_rows}
-        if builder is not None:
-            for row in fleet_rows:
-                builder.observe_board(
-                    row.board_id,
-                    {stat: getattr(row, stat) for stat in ROLLUP_STATS},
-                )
-        powerups.inc(spec.measurements * len(board_ids))
-        if spec.apply_aging:
-            with tracer.span("fleet.age") if tracer is not None else NULL_SPAN:
-                with get_profiler().phase(PHASE_AGING):
-                    kernel.age_months(
-                        spec.aging_acceleration,
-                        steps=spec.aging_steps_per_month,
-                    )
-            aging_steps.inc(spec.aging_steps_per_month * len(board_ids))
-        raw_states = kernel.export_states()
-        states = {
-            board_id: board_state_to_doc(raw_states[board_id])
-            for board_id in board_ids
-        }
-        _remember_fleet(
-            board_ids,
-            tuple(state_digest(states[board_id]) for board_id in board_ids),
-            kernel,
+    references = {board.board_id: board.reference for board in spec.boards}
+    if spec.shard_store is not None:
+        store = spec.shard_store
+        proof = (spec.kernel, store.root, store.config_digest, spec.month - 1)
+        stepper = _warm(key, proof) or _cold_restore(spec, references)
+    else:
+        proof = (spec.kernel,) + tuple(state_digest(state) for state in states)
+        stepper = _warm(key, proof) or ShardStepper.build(
+            spec.kernel,
+            key,
+            spec.board_profiles,
+            states={board.board_id: board.state for board in spec.boards},
+            references=references,
+            **protocol,
         )
-    return rows, states, new_references
+    stepper.references = {board: references[board] for board in stepper.board_ids}
+    return stepper
 
 
 def run_board_window(spec: WindowSpec) -> WindowResult:
@@ -522,127 +314,41 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
     board and shard, like the full-trajectory worker's.
 
     Under a sharded store (``spec.shard_store``) the boards arrive
-    with ``state=None`` after month 0; the worker attaches its own
-    carried (or keyframe-restored) state first, and persists the
-    month's rows and chain file to the shard's store before returning
-    a result with ``states={}``.
+    with ``state=None`` after month 0; the worker continues its warm
+    stepper (or cold-restores from the shard's keyframe chain), and
+    persists the month's rows and chain file to the shard's store
+    before returning a result with ``states={}``.
     """
-    if spec.shard_store is not None and spec.month > 0:
-        spec = _attach_shard_states(spec)
-    sampler = ResourceSampler()
-    eval_registry = MetricsRegistry()
-    aging_registry = MetricsRegistry()
-    powerups = eval_registry.counter("campaign.powerups")
-    aging_steps = aging_registry.counter("campaign.aging_steps")
-    # One simulator per distinct profile: the aging law is profile
-    # physics, so a mixed window ages each board with its own model.
-    simulators = {
-        profile: AgingSimulator(profile) for profile in spec.profiles
-    }
-    builder: Optional[ShardRollupBuilder] = None
-    if spec.rollup_shards > 0:
-        builder = ShardRollupBuilder(
-            lambda b: rollup_shard_of(b, spec.fleet_size, spec.rollup_shards)
+    where = f"month-{spec.month} window of shard {spec.shard_index}"
+    builder = rollup_builder(spec)
+    with worker_harness(spec.trace, spec.shard_index, where) as harness:
+        stepper = _checkout(spec)
+        (step,) = stepper.advance(
+            {spec.month: spec.temperature},
+            age_last=spec.apply_aging,
+            tracer=harness.tracer,
+            builders=[builder],
+            fail_board=spec.fail_board,
+            where=where,
+            shard_index=spec.shard_index,
         )
-
-    trace = spec.trace
-    tracer: Optional[Tracer] = None
-    if trace is not None and trace.spans:
-        tracer = Tracer(enabled=True)
-    previous_profiler: Optional[PhaseProfiler] = None
-    phase_deltas: Dict[str, Dict[str, float]] = {}
-    if trace is not None and trace.phases:
-        previous_profiler = install_profiler(PhaseProfiler(enabled=True))
-
-    rows: Dict[int, BoardMonthMetrics] = {}
-    states: Dict[int, Dict[str, Any]] = {}
-    references: Dict[int, np.ndarray] = {}
-    try:
-        if spec.kernel == "vector":
-            try:
-                rows, states, references = _run_window_vector(
-                    spec, powerups, aging_steps, builder, tracer
-                )
-            except CampaignExecutionError:
-                raise
-            except Exception as exc:
-                raise CampaignExecutionError(
-                    f"fleet of month-{spec.month} window of shard "
-                    f"{spec.shard_index} failed (vector kernel): {exc}",
-                    shard_index=spec.shard_index,
-                ) from exc
-        else:
-            for position, board in enumerate(spec.boards):
-                try:
-                    if spec.fail_board == board.board_id:
-                        raise RuntimeError("injected fault (WindowSpec.fail_board)")
-                    profile = spec.profile_for_position(position)
-                    with tracer.span("worker.board", board=board.board_id) if tracer is not None else NULL_SPAN:
-                        if board.state is None:
-                            seeds = SeedHierarchy(spec.root_seed)
-                            chip = SRAMChip(board.board_id, profile, random_state=seeds)
-                            reference = chip.read_startup()
-                            powerups.inc()  # the day-0 reference read-out
-                            references[board.board_id] = reference
-                        else:
-                            chip = _cached_chip(board)
-                            if chip is None:
-                                chip = restore_chip(board.board_id, profile, board.state)
-                            reference = board.reference
-                        with tracer.span("board.measure") if tracer is not None else NULL_SPAN:
-                            row = evaluate_board(
-                                chip,
-                                reference,
-                                measurements=spec.measurements,
-                                statistical=spec.statistical,
-                                temperature_k=spec.temperature,
-                            )
-                        rows[board.board_id] = row
-                        if builder is not None:
-                            builder.observe_board(
-                                board.board_id,
-                                {stat: getattr(row, stat) for stat in ROLLUP_STATS},
-                            )
-                        powerups.inc(spec.measurements)
-                        if spec.apply_aging:
-                            with tracer.span("board.age") if tracer is not None else NULL_SPAN:
-                                with get_profiler().phase(PHASE_AGING):
-                                    simulators[profile].age_array_months(
-                                        chip.array,
-                                        spec.aging_acceleration,
-                                        steps=spec.aging_steps_per_month,
-                                    )
-                            aging_steps.inc(spec.aging_steps_per_month)
-                        state = board_state_doc(chip)
-                        states[board.board_id] = state
-                        _remember_chip(board.board_id, state_digest(state), chip, reference)
-                except CampaignExecutionError:
-                    raise
-                except Exception as exc:
-                    raise CampaignExecutionError(
-                        f"board {board.board_id} failed in month-{spec.month} window "
-                        f"of shard {spec.shard_index}: {exc}",
-                        board_id=board.board_id,
-                        shard_index=spec.shard_index,
-                    ) from exc
+        rows = {row.board_id: row for row in step.rows}
+        references = dict(stepper.references) if spec.month == 0 else {}
+        states = stepper.export_states()
         if spec.shard_store is not None:
             # The month is only "done" once the shard's own store says
             # so: rows record first, chain file (the commit mark)
             # second.  The heavy state documents then stay in this
             # process — the result ships no board state at all.
+            store = spec.shard_store
             with get_profiler().phase(PHASE_STORE_IO):
-                persist_shard_window(
-                    spec.shard_store, spec.month, rows, states, references
-                )
-            _remember_shard_states(spec.shard_store, spec.month, states)
+                persist_shard_window(store, spec.month, rows, states, references)
+            proof = (spec.kernel, store.root, store.config_digest, spec.month)
             states = {}
-    finally:
-        if previous_profiler is not None:
-            phase_deltas = install_profiler(previous_profiler).take()
-    span_records: list = []
-    if tracer is not None and tracer.roots:
-        epoch = tracer.roots[0].start_wall
-        span_records = [span_record(root, epoch) for root in tracer.roots]
+        else:
+            digests = tuple(state_digest(states[b]) for b in spec.board_ids)
+            proof = (spec.kernel,) + digests
+        _remember(spec.board_ids, proof, stepper)
     logger.debug(
         "window finished: shard %d month %d, %d boards",
         spec.shard_index,
@@ -655,10 +361,10 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         rows=rows,
         states=states,
         references=references,
-        eval_deltas=_registry_deltas(eval_registry),
-        aging_deltas=_registry_deltas(aging_registry),
+        eval_deltas=step.eval_deltas,
+        aging_deltas=step.aging_deltas,
         rollups=builder.take() if builder is not None else {},
-        resources=sampler.sample(),
-        spans=span_records,
-        phase_deltas=phase_deltas,
+        resources=harness.resources,
+        spans=harness.spans,
+        phase_deltas=harness.phase_deltas,
     )

@@ -2,19 +2,18 @@
 
 :func:`run_board_shard` is the function the executors dispatch — a
 module-level callable (picklable under the ``spawn`` start method)
-that takes a :class:`~repro.exec.plan.ShardSpec` and simulates every
-assigned board's full campaign trajectory: the day-0 reference
+that takes a :class:`~repro.exec.plan.ShardSpec` and runs every
+assigned board's full campaign trajectory on one
+:class:`~repro.exec.stepper.ShardStepper`: the day-0 reference
 read-out, then each month's measurement block followed by one month of
-aging.  Per board, the order and count of random draws is exactly the
-serial campaign's, and each board touches only its own
-``chip-<id>`` stream, so the returned numbers are bit-identical to the
-serial run's.
+aging.  Each board touches only its own ``chip-<id>`` stream, so the
+returned numbers are bit-identical to the serial run's.
 
 Workers do not touch the process-global telemetry registry (they may
 share a process with the campaign driver under
 :class:`~repro.exec.executor.SerialExecutor`).  Instead every shard
-counts its own work on a private registry and returns *per-month
-counter deltas*; the driver folds them into the parent registry in
+returns *per-month counter deltas* from the stepper's private
+registries; the driver folds them into the parent registry in
 snapshot order, so monthly counter rates — and therefore
 ``rate:``-rule alert sequences — match the serial run poll for poll.
 """
@@ -23,24 +22,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.analysis.monthly import BoardMonthMetrics, evaluate_board, evaluate_fleet
-from repro.errors import CampaignExecutionError
-from repro.exec.plan import ShardSpec, rollup_shard_of
-from repro.rng import SeedHierarchy
-from repro.sram.aging import AgingSimulator
-from repro.sram.chip import SRAMChip
-from repro.sram.fleetkernel import build_fleet_kernel
-from repro.sram.profiles import DeviceProfile
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiling import PHASE_AGING, PhaseProfiler
-from repro.telemetry.resources import ResourceSampler
-from repro.telemetry.rollup import ROLLUP_STATS, ShardRollupBuilder
-from repro.telemetry.runtime import get_profiler, install_profiler
-from repro.telemetry.tracing import NULL_SPAN, Tracer, span_record
+from repro.analysis.monthly import BoardMonthMetrics
+from repro.exec.plan import ShardSpec
+from repro.exec.stepper import (
+    ShardStepper,
+    protocol_of,
+    rollup_builder,
+    sum_counts,
+    worker_harness,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -87,152 +81,9 @@ class ShardResult:
     #: map); empty unless ``ShardSpec.trace.phases`` was set.
     phase_deltas: Dict[str, Dict[str, float]] = field(default_factory=dict, repr=False)
 
-
-class _DeltaTracker:
-    """Per-month counter deltas over a private metrics registry."""
-
-    def __init__(self, months: int):
-        self.registry = MetricsRegistry()
-        self._months = months
-        self._baseline: Dict[str, int] = {}
-        self.deltas: List[Dict[str, int]] = [{} for _ in range(months + 1)]
-
-    def checkpoint(self, month: int) -> None:
-        """Attribute everything counted since the last checkpoint to ``month``."""
-        for name, doc in self.registry.snapshot().items():
-            if doc["type"] != "counter":
-                continue
-            value = int(doc["value"])
-            delta = value - self._baseline.get(name, 0)
-            self._baseline[name] = value
-            if delta:
-                bucket = self.deltas[month]
-                bucket[name] = bucket.get(name, 0) + delta
-
-
-def _run_board(
-    spec: ShardSpec,
-    board_id: int,
-    profile: DeviceProfile,
-    seeds: SeedHierarchy,
-    tracker: _DeltaTracker,
-    builders: Optional[List[ShardRollupBuilder]] = None,
-    tracer: Optional[Tracer] = None,
-) -> BoardTrajectory:
-    """Simulate one board's full trajectory (serial draw order)."""
-    powerups = tracker.registry.counter("campaign.powerups")
-    aging_steps = tracker.registry.counter("campaign.aging_steps")
-    chip = SRAMChip(board_id, profile, random_state=seeds)
-    simulator = AgingSimulator(profile)
-
-    reference = chip.read_startup()
-    powerups.inc()  # the day-0 reference read-out
-    months: List[BoardMonthMetrics] = []
-    for month in range(spec.months + 1):
-        with tracer.span("board.month", month=month) if tracer is not None else NULL_SPAN:
-            with tracer.span("board.measure") if tracer is not None else NULL_SPAN:
-                row = evaluate_board(
-                    chip,
-                    reference,
-                    measurements=spec.measurements,
-                    statistical=spec.statistical,
-                    temperature_k=spec.temperatures[month],
-                )
-            months.append(row)
-            if builders is not None:
-                builders[month].observe_board(
-                    board_id, {stat: getattr(row, stat) for stat in ROLLUP_STATS}
-                )
-            powerups.inc(spec.measurements)
-            tracker.checkpoint(month)
-            if month < spec.months:
-                with tracer.span("board.age") if tracer is not None else NULL_SPAN:
-                    with get_profiler().phase(PHASE_AGING):
-                        simulator.age_array_months(
-                            chip.array,
-                            spec.aging_acceleration,
-                            steps=spec.aging_steps_per_month,
-                        )
-                aging_steps.inc(spec.aging_steps_per_month)
-    return BoardTrajectory(board_id=board_id, reference=reference, months=months)
-
-
-def _run_fleet_vector(
-    spec: ShardSpec,
-    tracker: _DeltaTracker,
-    builders: Optional[List[ShardRollupBuilder]] = None,
-    tracer: Optional[Tracer] = None,
-) -> List[BoardTrajectory]:
-    """Simulate the shard's boards together on a batched fleet kernel.
-
-    Month-major schedule: the whole fleet advances one month at a
-    time.  Boards never share random streams, so this reorders no
-    draws *within* any stream — every board's sequence (manufacture →
-    reference → monthly blocks → aging) is the scalar path's, and the
-    returned trajectories, counter-delta buckets and rollup
-    observation orders are identical to :func:`_run_board`'s.
-    """
-    powerups = tracker.registry.counter("campaign.powerups")
-    aging_steps = tracker.registry.counter("campaign.aging_steps")
-    if spec.fail_board is not None:
-        # The batched kernel advances the fleet as one unit, so the
-        # injected fault fires before any board is simulated (the
-        # scalar path fails mid-fleet instead; either way no partial
-        # results are merged).
-        raise CampaignExecutionError(
-            f"board {spec.fail_board} failed in shard {spec.shard_index}: "
-            "injected fault (ShardSpec.fail_board)",
-            board_id=spec.fail_board,
-            shard_index=spec.shard_index,
-        )
-    boards = len(spec.board_ids)
-    with tracer.span("worker.fleet", boards=boards) if tracer is not None else NULL_SPAN:
-        kernel = build_fleet_kernel(
-            spec.board_ids, spec.board_profiles, root_seed=spec.root_seed
-        )
-        reference_rows = kernel.read_startup()
-        powerups.inc(boards)  # the day-0 reference read-outs
-        references = {
-            board_id: reference_rows[index]
-            for index, board_id in enumerate(kernel.board_ids)
-        }
-        month_rows: List[List[BoardMonthMetrics]] = []
-        for month in range(spec.months + 1):
-            with tracer.span("fleet.month", month=month) if tracer is not None else NULL_SPAN:
-                rows = evaluate_fleet(
-                    kernel,
-                    references,
-                    measurements=spec.measurements,
-                    statistical=spec.statistical,
-                    temperature_k=spec.temperatures[month],
-                )
-                month_rows.append(rows)
-                if builders is not None:
-                    for row in rows:
-                        builders[month].observe_board(
-                            row.board_id,
-                            {stat: getattr(row, stat) for stat in ROLLUP_STATS},
-                        )
-                powerups.inc(spec.measurements * boards)
-                tracker.checkpoint(month)
-                if month < spec.months:
-                    with get_profiler().phase(PHASE_AGING):
-                        kernel.age_months(
-                            spec.aging_acceleration,
-                            steps=spec.aging_steps_per_month,
-                        )
-                    aging_steps.inc(spec.aging_steps_per_month * boards)
-    by_id = [
-        {row.board_id: row for row in rows} for rows in month_rows
-    ]
-    return [
-        BoardTrajectory(
-            board_id=board_id,
-            reference=references[board_id],
-            months=[by_id[month][board_id] for month in range(spec.months + 1)],
-        )
-        for board_id in spec.board_ids
-    ]
+    def board_rows(self) -> Dict[int, List[BoardMonthMetrics]]:
+        """Every returned board's monthly rows (for coverage checks)."""
+        return {t.board_id: t.months for t in self.trajectories}
 
 
 def run_board_shard(spec: ShardSpec) -> ShardResult:
@@ -243,85 +94,50 @@ def run_board_shard(spec: ShardSpec) -> ShardResult:
     hook — surfaces as a :class:`~repro.errors.CampaignExecutionError`
     naming the board and shard, so the driver can refuse to merge.
     """
-    sampler = ResourceSampler()
-    tracker = _DeltaTracker(spec.months)
-    seeds = SeedHierarchy(spec.root_seed)
-    builders: Optional[List[ShardRollupBuilder]] = None
-    if spec.rollup_shards > 0:
-        builders = [
-            ShardRollupBuilder(
-                lambda b: rollup_shard_of(b, spec.fleet_size, spec.rollup_shards)
-            )
-            for _ in range(spec.months + 1)
-        ]
-    trace = spec.trace
-    tracer: Optional[Tracer] = None
-    if trace is not None and trace.spans:
-        tracer = Tracer(enabled=True)
-    # Swap in a local profiler so every get_profiler() call site in the
-    # hot path attributes here; restored (and drained) in the finally.
-    previous_profiler: Optional[PhaseProfiler] = None
-    phase_deltas: Dict[str, Dict[str, float]] = {}
-    if trace is not None and trace.phases:
-        previous_profiler = install_profiler(PhaseProfiler(enabled=True))
-    trajectories: List[BoardTrajectory] = []
-    try:
-        if spec.kernel == "vector":
-            try:
-                trajectories = _run_fleet_vector(spec, tracker, builders, tracer)
-            except CampaignExecutionError:
-                raise
-            except Exception as exc:
-                raise CampaignExecutionError(
-                    f"fleet of shard {spec.shard_index} failed "
-                    f"(vector kernel): {exc}",
-                    shard_index=spec.shard_index,
-                ) from exc
-        else:
-            for position, board_id in enumerate(spec.board_ids):
-                try:
-                    if spec.fail_board == board_id:
-                        raise RuntimeError("injected fault (ShardSpec.fail_board)")
-                    with tracer.span("worker.board", board=board_id) if tracer is not None else NULL_SPAN:
-                        trajectories.append(
-                            _run_board(
-                                spec,
-                                board_id,
-                                spec.profile_for_position(position),
-                                seeds,
-                                tracker,
-                                builders,
-                                tracer,
-                            )
-                        )
-                except CampaignExecutionError:
-                    raise
-                except Exception as exc:
-                    raise CampaignExecutionError(
-                        f"board {board_id} failed in shard {spec.shard_index}: {exc}",
-                        board_id=board_id,
-                        shard_index=spec.shard_index,
-                    ) from exc
-    finally:
-        if previous_profiler is not None:
-            phase_deltas = install_profiler(previous_profiler).take()
-    span_records: List[Dict[str, object]] = []
-    if tracer is not None and tracer.roots:
-        epoch = tracer.roots[0].start_wall
-        span_records = [span_record(root, epoch) for root in tracer.roots]
+    where = f"shard {spec.shard_index}"
+    builders = [rollup_builder(spec) for _ in spec.temperatures]
+    with worker_harness(spec.trace, spec.shard_index, where) as harness:
+        stepper = ShardStepper.build(
+            spec.kernel,
+            spec.board_ids,
+            spec.board_profiles,
+            root_seed=spec.root_seed,
+            **protocol_of(spec),
+        )
+        steps = stepper.advance(
+            dict(enumerate(spec.temperatures)),
+            age_last=False,
+            tracer=harness.tracer,
+            builders=builders,
+            fail_board=spec.fail_board,
+            where=where,
+            shard_index=spec.shard_index,
+        )
+    # A month's poll sees its own evaluation plus the previous month's aging.
+    counter_deltas = [
+        sum_counts([step.eval_deltas] + ([steps[m - 1].aging_deltas] if m else []))
+        for m, step in enumerate(steps)
+    ]
+    rows: Dict[int, List[BoardMonthMetrics]] = {board: [] for board in spec.board_ids}
+    for step in steps:
+        for row in step.rows:
+            rows[row.board_id].append(row)
     logger.debug(
         "shard %d finished: %d boards x %d snapshots",
         spec.shard_index,
-        len(trajectories),
-        spec.months + 1,
+        len(rows),
+        len(steps),
     )
     return ShardResult(
         shard_index=spec.shard_index,
         board_ids=spec.board_ids,
-        trajectories=trajectories,
-        counter_deltas=tracker.deltas,
-        rollup_docs=[builder.take() for builder in builders] if builders else [],
-        resources=sampler.sample(),
-        spans=span_records,
-        phase_deltas=phase_deltas,
+        trajectories=[
+            BoardTrajectory(board, stepper.references[board], rows[board])
+            for board in spec.board_ids
+        ],
+        counter_deltas=counter_deltas,
+        rollup_docs=[b.take() for b in builders] if spec.rollup_shards > 0 else [],
+        resources=harness.resources,
+        spans=harness.spans,
+        phase_deltas=harness.phase_deltas,
     )

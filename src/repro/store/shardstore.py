@@ -709,7 +709,7 @@ def merge_sharded_campaign(checkpoint_dir: str):
     returned :class:`~repro.analysis.campaign.CampaignResult`
     serializes byte-identically to the single-writer artifact
     (``save_campaign`` plain or stream) — the acceptance gate the
-    property suite and the CI ``shard-store-smoke`` job pin.
+    property suite and the CI ``equivalence-matrix`` job pin.
     """
     from repro.analysis.campaign import CampaignResult
     from repro.analysis.monthly import assemble_evaluation

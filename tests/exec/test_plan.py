@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.exec.executor import ParallelExecutor, SerialExecutor, executor_for
 from repro.exec.plan import ShardSpec, partition_boards
+from repro.exec.worker import run_board_shard
 from repro.sram.profiles import ATMEGA32U4
 
 
@@ -85,4 +86,4 @@ class TestExecutorSelection:
             ParallelExecutor(0)
 
     def test_empty_plan_is_a_noop(self):
-        assert ParallelExecutor(2).run_shards([]) == []
+        assert ParallelExecutor(2).run_tasks(run_board_shard, []) == []

@@ -15,12 +15,12 @@ from typing import Tuple
 import pytest
 
 from repro.analysis.campaign import LongTermCampaign
-from repro.errors import CampaignExecutionError, ConfigurationError
+from repro.errors import CampaignExecutionError, CampaignInterrupted, ConfigurationError
 from repro.exec.executor import ParallelExecutor, SerialExecutor
 from repro.exec.pool import WindowPool
 from repro.exec.windows import clear_window_cache, state_digest, window_cache_stats
 
-from tests.exec.conftest import assert_campaigns_identical
+from tests.exec.conftest import InlineWindowPool, assert_campaigns_identical
 
 PARAMS = dict(device_count=3, months=3, measurements=60, temperature_walk_k=1.0)
 SEED = 13
@@ -166,3 +166,40 @@ class TestWarmBoardCache:
         assert stats["hits"] == PARAMS["device_count"] * PARAMS["months"]
         assert stats["misses"] == 0
         clear_window_cache()
+
+    @pytest.mark.parametrize("shard_store", [False, True], ids=["monolithic", "sharded"])
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_warm_run_hits_and_resume_misses_once(self, tmp_path, kernel, shard_store):
+        # Two in-process shards: every window after month 0 finds its
+        # stepper warm.  A resume after clear_window_cache() — what a
+        # fresh process sees — misses once per board, then hits again.
+        boards = PARAMS["device_count"]
+        params = dict(PARAMS, kernel=kernel, shard_store=shard_store)
+        baseline = LongTermCampaign(random_state=SEED, **PARAMS).run()
+        clear_window_cache()
+        straight = LongTermCampaign(random_state=SEED, **params).run(
+            checkpoint_dir=str(tmp_path / "straight"), executor=InlineWindowPool(2)
+        )
+        assert window_cache_stats() == {"hits": boards * PARAMS["months"], "misses": 0}
+        assert_campaigns_identical(baseline, straight)
+
+        ckpt = str(tmp_path / "resumed")
+        with pytest.raises(CampaignInterrupted):
+            LongTermCampaign(random_state=SEED, **params).run(
+                checkpoint_dir=ckpt, executor=InlineWindowPool(2), abort_after_month=1
+            )
+        clear_window_cache()
+        windows = []
+        resumed = LongTermCampaign.resume(
+            ckpt,
+            executor=InlineWindowPool(2),
+            kernel=kernel,
+            progress=lambda done, total: windows.append(done),
+        )
+        assert window_cache_stats() == {
+            "hits": boards * (len(windows) - 1),
+            "misses": boards,
+        }
+        assert_campaigns_identical(baseline, resumed)
+        clear_window_cache()
+

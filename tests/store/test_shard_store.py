@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.campaign import LongTermCampaign
 from repro.errors import CampaignInterrupted, ConfigurationError, StorageError
-from repro.exec.pool import WindowPool
 from repro.exec.windows import clear_window_cache
 from repro.io.resultstore import load_campaign, save_campaign
 from repro.sram.profiles import ATMEGA32U4
@@ -46,7 +45,7 @@ from repro.store.shardstore import (
 )
 from repro.telemetry import reset_telemetry
 
-from tests.exec.conftest import assert_campaigns_identical
+from tests.exec.conftest import InlineWindowPool, assert_campaigns_identical
 
 #: Small statistical campaign; fast enough to run many times per test.
 SMALL = dict(device_count=4, months=3, measurements=80)
@@ -62,19 +61,6 @@ def make_campaign(shard_store: bool = True, **overrides) -> LongTermCampaign:
 def read_bytes(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
-
-
-class InlineWindowPool(WindowPool):
-    """A WindowPool that runs its specs in-process, serially.
-
-    ``WindowPool.adopt`` passes instances through untouched, so this
-    injects an arbitrary *shard count* (``max_workers`` drives the
-    board partition) without paying worker-process start-up — the
-    hypothesis ladder below runs dozens of campaigns per test.
-    """
-
-    def run_tasks(self, fn, specs):
-        return [fn(spec) for spec in specs]
 
 
 class TestShardedLayout:
