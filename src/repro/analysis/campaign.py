@@ -37,12 +37,8 @@ from repro.telemetry import (
     PHASE_STORE_IO,
     get_flight_recorder,
     get_metrics,
-    get_profiler,
     get_rollups,
     get_tracer,
-    graft_records,
-    profiling_enabled,
-    rollups_enabled,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing aid only
@@ -141,9 +137,7 @@ class LongTermCampaign:
         (``None`` auto-sizes to ``min(8, device_count)``).  The shard
         map partitions the *fleet*, independently of ``max_workers``,
         so shard-scoped rollup series — and any alerts bound to them —
-        are identical across worker counts.  Rollup ingestion is
-        skipped entirely when
-        :func:`repro.telemetry.rollups_enabled` is off.
+        are identical across worker counts.
     fail_board:
         Fault-injection hook: the worker that owns this board raises
         before simulating it, surfacing as
@@ -307,9 +301,9 @@ class LongTermCampaign:
             "aging_steps_per_month": self._aging_steps,
             "aging_acceleration": self._aging_acceleration,
             "fail_board": self._fail_board if self._fail_board in boards else None,
-            "rollup_shards": self._rollup_shards if rollups_enabled() else 0,
+            "rollup_shards": self._rollup_shards,
             "fleet_size": self._device_count,
-            "trace": get_tracer().context(phases=profiling_enabled()),
+            "trace": get_tracer().context(),
             "kernel": self._kernel,
         }
         if self._population is None:
@@ -626,7 +620,7 @@ class LongTermCampaign:
                     )
                     if month < self._months:
                         with tracer.span("campaign.age"):
-                            stepper.age()
+                            stepper.age(tracer)
                             fold_counter_deltas(metrics, stepper.take_deltas()[1])
             logger.info("campaign finished: %d snapshots", len(snapshots))
 
@@ -668,25 +662,28 @@ class LongTermCampaign:
         and snapshot counters, ingests the month's rollups (worker
         documents when given, else derived from ``snapshot``), feeds
         the monitor its snapshot and counter poll, records the month in
-        the flight recorder and reports progress.
+        the flight recorder and reports progress — all inside one
+        ``campaign.publish`` span tagged with the ``monitor`` phase.
         """
         from repro.store.checkpoint import fold_counter_deltas
 
-        metrics = get_metrics()
-        fold_counter_deltas(metrics, deltas)
-        self._count_labeled_powerups(metrics, month)
-        metrics.counter("campaign.snapshots").inc()
-        self._ingest_rollups(snapshot, docs=rollup_docs)
-        if monitor is not None:
-            with get_profiler().phase(PHASE_MONITOR):
+        with get_tracer().span("campaign.publish", phase=PHASE_MONITOR):
+            metrics = get_metrics()
+            fold_counter_deltas(metrics, deltas)
+            self._count_labeled_powerups(metrics, month)
+            metrics.counter("campaign.snapshots").inc()
+            self._ingest_rollups(snapshot, docs=rollup_docs)
+            if monitor is not None:
                 monitor.observe_evaluation(snapshot)
                 monitor.observe_rollups(index=month)
                 monitor.poll_counters(index=month)
-        wchd_mean = float(snapshot.wchd.mean())
-        get_flight_recorder().record("month", month=month, wchd_mean=wchd_mean)
-        logger.debug("month %d/%d (WCHD mean %.4f)", month, self._months, wchd_mean)
-        if progress is not None:
-            progress(month + 1, self._months + 1)
+            wchd_mean = float(snapshot.wchd.mean())
+            get_flight_recorder().record("month", month=month, wchd_mean=wchd_mean)
+            logger.debug(
+                "month %d/%d (WCHD mean %.4f)", month, self._months, wchd_mean
+            )
+            if progress is not None:
+                progress(month + 1, self._months + 1)
 
     def _rollup_shard_of(self, board_id: int) -> int:
         """Logical rollup shard of ``board_id`` (worker-count independent)."""
@@ -724,8 +721,6 @@ class LongTermCampaign:
         ``rollup.*``), so resume replay restores them from storage
         rather than recounting.
         """
-        if not rollups_enabled():
-            return
         per_board = self._measurements + (1 if month == 0 else 0)
         for shard, size in enumerate(self._rollup_shard_sizes()):
             metrics.counter("campaign.powerups", labels={"shard": shard}).inc(
@@ -733,25 +728,22 @@ class LongTermCampaign:
             )
 
     def _absorb_worker_traces(self, parent_span, results) -> None:
-        """Graft worker span records and merge worker phase timings.
+        """Graft worker span records (and with them their phase times).
 
         Per-board span records are concatenated across shards and
         sorted by board id before grafting under the dispatching span,
         so the merged tree's names, structure and (after
-        :meth:`~repro.telemetry.Tracer.assign_ids`) ids are independent
-        of worker count and dispatch order.  Workers ship no records
-        when tracing is off, and no phase deltas when profiling is.
+        :meth:`~repro.telemetry.Tracer.assign_ids`) ids — and the phase
+        table folded from it — are independent of worker count and
+        dispatch order.  Workers ship no records when tracing is off.
         """
-        if get_tracer().enabled:
+        tracer = get_tracer()
+        if tracer.enabled:
             records = sorted(
                 (record for result in results for record in result.spans),
                 key=lambda record: record.get("attributes", {}).get("board", -1),
             )
-            graft_records(parent_span, records)
-        profiler = get_profiler()
-        for result in results:
-            if result.phase_deltas:
-                profiler.merge(result.phase_deltas)
+            tracer.graft(parent_span, records)
 
     def _ingest_worker_resources(self, samples) -> None:
         """Fold worker resource samples into the ``rollup.worker.*`` rollups.
@@ -762,8 +754,6 @@ class LongTermCampaign:
         registry, never in checkpoints, and never in byte-compared
         artifacts.
         """
-        if not rollups_enabled():
-            return
         from repro.telemetry.rollup import WIDE_BOUNDS
 
         rollups = get_rollups()
@@ -785,10 +775,8 @@ class LongTermCampaign:
         ``docs`` are worker-shipped partial documents when available;
         otherwise identical documents are derived parent-side from the
         assembled evaluation (exact arithmetic makes the two routes
-        bit-identical).  No-op when rollups are globally disabled.
+        bit-identical).
         """
-        if not rollups_enabled():
-            return
         from repro.telemetry.rollup import (
             evaluation_profile_docs,
             evaluation_shard_docs,
@@ -1243,36 +1231,37 @@ class LongTermCampaign:
                             result.aging_deltas for result in results
                         )
                         fold_counter_deltas(metrics, aging_deltas)
-                        with tracer.span("campaign.checkpoint", month=month):
-                            with get_profiler().phase(PHASE_STORE_IO):
-                                if self._shard_store:
-                                    # The fleet's device state and rows
-                                    # are already on disk, written by
-                                    # the workers; the parent persists
-                                    # only its O(counters) month record.
-                                    append_parent_month_record(
-                                        checkpoint_dir,
-                                        build_parent_month_record(
-                                            month,
-                                            temperature,
-                                            rng_state_doc(temp_rng) if walk else None,
-                                            counter_deltas[-1],
-                                            aging_deltas,
-                                        ),
-                                    )
-                                else:
-                                    checkpointer.save(
+                        with tracer.span(
+                            "campaign.checkpoint", month=month, phase=PHASE_STORE_IO
+                        ):
+                            if self._shard_store:
+                                # The fleet's device state and rows are
+                                # already on disk, written by the
+                                # workers; the parent persists only its
+                                # O(counters) month record.
+                                append_parent_month_record(
+                                    checkpoint_dir,
+                                    build_parent_month_record(
                                         month,
                                         temperature,
                                         rng_state_doc(temp_rng) if walk else None,
-                                        references,
-                                        board_states,
-                                        snapshots,
-                                        counter_deltas,
+                                        counter_deltas[-1],
                                         aging_deltas,
-                                    )
+                                    ),
+                                )
+                            else:
+                                checkpointer.save(
+                                    month,
+                                    temperature,
+                                    rng_state_doc(temp_rng) if walk else None,
+                                    references,
+                                    board_states,
+                                    snapshots,
+                                    counter_deltas,
+                                    aging_deltas,
+                                )
                         if stream is not None:
-                            with get_profiler().phase(PHASE_STORE_IO):
+                            with tracer.span("campaign.stream", phase=PHASE_STORE_IO):
                                 if month == 0:
                                     stream.begin(
                                         self._result_profile_name(),

@@ -40,8 +40,8 @@ from repro.metrics.hamming import (
 from repro.metrics.stability import stable_cell_ratio_from_counts
 from repro.sram.chip import SRAMChip
 from repro.sram.powerup import sample_measurement_block
-from repro.telemetry.profiling import PHASE_METRICS
-from repro.telemetry.runtime import get_profiler
+from repro.telemetry.runtime import get_tracer
+from repro.telemetry.tracing import PHASE_METRICS
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def evaluate_board(
     block = sample_measurement_block(
         chip, measurements, temperature_k=temperature_k, statistical=statistical
     )
-    with get_profiler().phase(PHASE_METRICS):
+    with get_tracer().span("analysis.metrics", phase=PHASE_METRICS):
         return BoardMonthMetrics(
             board_id=chip.chip_id,
             wchd=within_class_hd_from_counts(block.ones_counts, measurements, reference),
@@ -155,7 +155,7 @@ def evaluate_fleet(
     counts, first = kernel.measure_block(
         measurements, temperature_k=temperature_k, statistical=statistical
     )
-    with get_profiler().phase(PHASE_METRICS):
+    with get_tracer().span("analysis.metrics", phase=PHASE_METRICS):
         if counts.size and (
             int(counts.min()) < 0 or int(counts.max()) > measurements
         ):
@@ -204,7 +204,7 @@ def assemble_evaluation(
         raise ConfigurationError("assemble_evaluation needs at least one board")
     first_readouts = [board.first_readout for board in boards]
     if len(boards) >= 2:
-        with get_profiler().phase(PHASE_METRICS):
+        with get_tracer().span("analysis.metrics", phase=PHASE_METRICS):
             bchd = between_class_hd(first_readouts)
             puf_h = puf_min_entropy(first_readouts)
     else:

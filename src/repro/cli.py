@@ -51,12 +51,9 @@ from repro.core.config import StudyConfig
 from repro.errors import ConfigurationError
 from repro.telemetry import (
     get_metrics,
-    get_profiler,
     get_tracer,
     init_logging,
-    profiling_enabled,
     reset_telemetry,
-    set_profiling,
     set_tracing,
     tracing_enabled,
 )
@@ -191,10 +188,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     scheduler, key generation, TRNG — so the span tree, the per-phase
     CPU table and the metric catalogue (``campaign.powerups``,
     ``scheduler.events``, ``keygen.decode_failures``, ...) all show
-    real numbers.  ``--workers N`` runs the campaign through the
-    sharded execution engine, so the tree shows the grafted worker
-    spans and the phase table the attribution merged back from the
-    worker processes.
+    real numbers.  The phase table is a fold over the span tree, with
+    the campaign time no phase-tagged span covers as an explicit
+    ``unattributed`` row.  ``--workers N`` runs the campaign through
+    the sharded execution engine, so the tree shows the grafted worker
+    spans and the phase table folds them in.
     """
     from repro.hardware.testbed import Testbed
     from repro.keygen.keygen import SRAMKeyGenerator
@@ -202,7 +200,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.trng.trng import SRAMTRNG
 
     set_tracing(True)
-    set_profiling(True)
     reset_telemetry()
     tracer = get_tracer()
 
@@ -224,7 +221,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(tracer.render_tree())
     print()
     print("== phases (campaign hot path) ==")
-    print(get_profiler().render_table())
+    print(get_tracer().render_phases())
     print()
     print("== metrics ==")
     print(get_metrics().render_table())
@@ -354,7 +351,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rollups=get_rollups(),
         flight=get_flight_recorder(),
         run_id=run_id,
-        profiler=get_profiler(),
         store_mode=("sharded" if sharded else "monolithic")
         if args.checkpoint_dir
         else None,
@@ -1048,7 +1044,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     init_logging(args.verbose)
     tracing_before = tracing_enabled()
-    profiling_before = profiling_enabled()
     if args.trace_json or args.trace_chrome:
         set_tracing(True)
     try:
@@ -1065,10 +1060,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     finally:
-        # Commands may enable tracing/profiling themselves (profile
-        # does); leave the process-global state as we found it.
+        # Commands may enable tracing themselves (profile does);
+        # leave the process-global state as we found it.
         set_tracing(tracing_before)
-        set_profiling(profiling_before)
     return code
 
 

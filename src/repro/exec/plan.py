@@ -81,12 +81,11 @@ class ShardSpec:
         Total board count of the campaign (needed to place this
         shard's boards in the fleet-wide rollup partition).
     trace:
-        Observability context (``None`` when neither tracing nor phase
-        profiling is live — the spec then pickles exactly as before).
-        When :attr:`~repro.telemetry.tracing.TraceContext.spans` is
-        set the worker records per-board spans on a private tracer and
-        ships them back; :attr:`~repro.telemetry.tracing.TraceContext.phases`
-        likewise for hot-path phase timings.
+        Observability context (``None`` when tracing is off — the
+        spec then pickles exactly as before).  When
+        :attr:`~repro.telemetry.tracing.TraceContext.spans` is set the
+        worker records per-board spans, phase-tagged hot-path spans
+        included, on a private tracer and ships them back.
     kernel:
         Execution kernel of this shard's boards: ``"scalar"`` walks
         them board by board, ``"vector"`` advances them together on a

@@ -42,11 +42,16 @@ from repro.store.checkpoint import (
     restore_chip,
 )
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiling import PHASE_AGING, PhaseProfiler
 from repro.telemetry.resources import ResourceSampler
 from repro.telemetry.rollup import ROLLUP_STATS, ShardRollupBuilder
-from repro.telemetry.runtime import get_profiler, install_profiler
-from repro.telemetry.tracing import NULL_SPAN, TraceContext, Tracer, span_record
+from repro.telemetry.runtime import install_tracer
+from repro.telemetry.tracing import (
+    NULL_SPAN,
+    PHASE_AGING,
+    TraceContext,
+    Tracer,
+    span_record,
+)
 
 
 def _span(tracer: Optional[Tracer], name: str, **attributes: Any):
@@ -216,10 +221,10 @@ class ShardStepper:
 
     def _age_unit(self, unit, tracer) -> None:
         if self._fleet is not None:
-            with _span(tracer, "fleet.age"), get_profiler().phase(PHASE_AGING):
+            with _span(tracer, "fleet.age", phase=PHASE_AGING):
                 unit.age_months(self._acceleration, steps=self._steps)
             return
-        with _span(tracer, "board.age"), get_profiler().phase(PHASE_AGING):
+        with _span(tracer, "board.age", phase=PHASE_AGING):
             self._simulators[unit.profile].age_array_months(
                 unit.array, self._acceleration, steps=self._steps
             )
@@ -236,10 +241,10 @@ class ShardStepper:
         self._aging = MetricsRegistry()
         return deltas
 
-    def age(self) -> None:
+    def age(self, tracer: Optional[Tracer] = None) -> None:
         """Age every board by one campaign month (the serial loop's aging)."""
         for unit in self._units:
-            self._age_unit(unit, None)
+            self._age_unit(unit, tracer)
         self._count_age()
 
     def advance(
@@ -333,7 +338,6 @@ class WorkerHarness:
     tracer: Optional[Tracer] = None
     resources: Dict[str, float] = field(default_factory=dict)
     spans: List[Dict[str, object]] = field(default_factory=list)
-    phase_deltas: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
 
 @contextmanager
@@ -343,20 +347,18 @@ def worker_harness(
     """Run one worker task with its private telemetry.
 
     Samples the task's resources, records spans on a private tracer
-    (when ``trace.spans``), swaps in a local phase profiler (when
-    ``trace.phases``) so every hot-path ``get_profiler()`` call
-    attributes here, and turns any unstructured failure into a
+    (when ``trace.spans``) swapped in as the process-global one for the
+    task, so the phase-tagged spans of the hot path record here too,
+    and turns any unstructured failure into a
     :class:`~repro.errors.CampaignExecutionError` naming ``where``.
-    Workers never touch the process-global registries: they may share
-    a process with the campaign driver.
+    Workers never write the process-global registries, and restore the
+    global tracer: they may share a process with the campaign driver.
     """
     harness = WorkerHarness(
         Tracer(enabled=True) if trace is not None and trace.spans else None
     )
     sampler = ResourceSampler()
-    previous: Optional[PhaseProfiler] = None
-    if trace is not None and trace.phases:
-        previous = install_profiler(PhaseProfiler(enabled=True))
+    previous = install_tracer(harness.tracer) if harness.tracer is not None else None
     try:
         yield harness
     except CampaignExecutionError:
@@ -367,7 +369,7 @@ def worker_harness(
         ) from exc
     finally:
         if previous is not None:
-            harness.phase_deltas = install_profiler(previous).take()
+            install_tracer(previous)
     tracer = harness.tracer
     if tracer is not None and tracer.roots:
         epoch = tracer.roots[0].start_wall

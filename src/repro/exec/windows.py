@@ -45,9 +45,8 @@ from repro.sram.fleetkernel import validate_kernel
 from repro.sram.profiles import DeviceProfile
 from repro.store.checkpoint import load_latest_shard_keyframe
 from repro.store.shardstore import ShardStoreSpec, persist_shard_window
-from repro.telemetry.profiling import PHASE_STORE_IO
-from repro.telemetry.runtime import get_profiler
-from repro.telemetry.tracing import TraceContext
+from repro.telemetry.runtime import get_tracer
+from repro.telemetry.tracing import PHASE_STORE_IO, TraceContext
 
 logger = logging.getLogger(__name__)
 
@@ -203,9 +202,6 @@ class WindowResult:
     #: Pickle-safe per-board span records in board order; empty unless
     #: ``WindowSpec.trace.spans`` was set.
     spans: list = field(default_factory=list, repr=False)
-    #: Hot-path phase totals of this window; empty unless
-    #: ``WindowSpec.trace.phases`` was set.
-    phase_deltas: Dict[str, Dict[str, float]] = field(default_factory=dict, repr=False)
 
     def board_rows(self) -> Dict[int, List[BoardMonthMetrics]]:
         """Every returned board's rows — one each (for coverage checks)."""
@@ -218,10 +214,10 @@ def _cold_restore(spec: "WindowSpec", references) -> ShardStepper:
     Loads the shard's newest keyframe at or below month ``m-1`` and
     *silently replays* the months in between with the recorded block
     temperatures, so every board's RNG stream lands on exactly the draw
-    position the warm path would have.  The replay observes nothing —
-    no spans, no rollups, and its counter deltas are dropped: the
-    replayed months were already counted and persisted by the run that
-    first executed them.
+    position the warm path would have.  The replay feeds no rollups and
+    drops its counter deltas: the replayed months were already counted
+    and persisted by the run that first executed them.  Only its time
+    is observed, as spans under one ``window.replay`` span.
     """
     shard_store = spec.shard_store
     if len(shard_store.temperatures) < spec.month:
@@ -253,9 +249,13 @@ def _cold_restore(spec: "WindowSpec", references) -> ShardStepper:
         references=references,
         **protocol_of(spec),
     )
-    stepper.advance(
-        {month: shard_store.temperatures[month] for month in gap}, age_last=True
-    )
+    tracer = get_tracer()
+    with tracer.span("window.replay", months=len(gap)):
+        stepper.advance(
+            {month: shard_store.temperatures[month] for month in gap},
+            age_last=True,
+            tracer=tracer,
+        )
     return stepper
 
 
@@ -341,7 +341,7 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
             # second.  The heavy state documents then stay in this
             # process — the result ships no board state at all.
             store = spec.shard_store
-            with get_profiler().phase(PHASE_STORE_IO):
+            with get_tracer().span("window.persist", phase=PHASE_STORE_IO):
                 persist_shard_window(store, spec.month, rows, states, references)
             proof = (spec.kernel, store.root, store.config_digest, spec.month)
             states = {}
@@ -366,5 +366,4 @@ def run_board_window(spec: WindowSpec) -> WindowResult:
         rollups=builder.take() if builder is not None else {},
         resources=harness.resources,
         spans=harness.spans,
-        phase_deltas=harness.phase_deltas,
     )

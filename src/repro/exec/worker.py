@@ -76,10 +76,6 @@ class ShardResult:
     #: its dispatching span sorted by board id, so the merged tree is
     #: independent of worker count.
     spans: List[Dict[str, object]] = field(default_factory=list, repr=False)
-    #: Hot-path phase timer totals accumulated worker-side (a
-    #: :meth:`~repro.telemetry.profiling.PhaseProfiler.take` delta
-    #: map); empty unless ``ShardSpec.trace.phases`` was set.
-    phase_deltas: Dict[str, Dict[str, float]] = field(default_factory=dict, repr=False)
 
     def board_rows(self) -> Dict[int, List[BoardMonthMetrics]]:
         """Every returned board's monthly rows (for coverage checks)."""
@@ -139,5 +135,4 @@ def run_board_shard(spec: ShardSpec) -> ShardResult:
         rollup_docs=[b.take() for b in builders] if spec.rollup_shards > 0 else [],
         resources=harness.resources,
         spans=harness.spans,
-        phase_deltas=harness.phase_deltas,
     )

@@ -11,12 +11,12 @@ post-processed without parsing a growing document.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import ConfigurationError, StorageError
 from repro.monitor.detectors import Detector
+from repro.store.codecs import JsonLinesCodec
 
 #: Recognised severities, mildest first.
 SEVERITIES = ("info", "warning", "critical")
@@ -87,7 +87,7 @@ class Alert:
                 path=str(doc.get("path", "")),
                 run_id=doc.get("run_id"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StorageError(f"malformed alert record: {exc}") from exc
 
 
@@ -182,21 +182,17 @@ def write_alert_log(alerts: Iterable[Alert], path: str) -> None:
 
 
 def load_alert_log(path: str) -> List[Alert]:
-    """Read a JSONL alert log written by this module."""
-    alerts: List[Alert] = []
+    """Read a JSONL alert log written by this module.
+
+    Unreadable files, bytes that are not UTF-8 JSON lines and lines that
+    are not alerts all raise :class:`~repro.errors.StorageError`.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise StorageError(
-                        f"{path}:{line_number}: invalid JSON: {exc}"
-                    ) from exc
-                alerts.append(Alert.from_dict(doc))
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise StorageError(f"cannot load alert log from {path}: {exc}") from exc
-    return alerts
+    return [
+        Alert.from_dict(doc)
+        for doc in JsonLinesCodec().decode_lines(data, source=path)
+    ]

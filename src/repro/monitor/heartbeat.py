@@ -10,8 +10,8 @@ supports) that appends one JSON line per snapshot to a heartbeat file::
 
 Heartbeats carry the campaign's deterministic ``run_id`` (the same
 key stamped into alert lines and trace exports) and the live
-``months_per_s`` throughput; when phase profiling is on, a ``phases``
-table of per-phase wall/CPU totals rides along too.
+``months_per_s`` throughput; when tracing is on, a ``phases`` table of
+per-phase wall/CPU totals (the tracer's phase fold) rides along too.
 
 ``tail -f campaign.heartbeat.jsonl`` is then a live view of a run that
 may take hours at production scale: which month it is on, how much
@@ -29,6 +29,7 @@ from repro.monitor.hub import MonitorHub
 from repro.store.artifact import ArtifactStore
 from repro.telemetry.resources import current_rss_kb
 from repro.telemetry.rollup import RollupRegistry
+from repro.telemetry.runtime import get_tracer
 
 __all__ = ["SnapshotEmitter", "current_rss_kb", "heartbeat_path_for"]
 
@@ -71,10 +72,6 @@ class SnapshotEmitter:
         Correlation key of the run (the campaign's deterministic run
         id) stamped into every heartbeat line, so the dashboard can
         join heartbeats with alerts and traces.
-    profiler:
-        Optional :class:`~repro.telemetry.profiling.PhaseProfiler`
-        whose per-phase totals ride along in every heartbeat when it
-        is enabled (``repro status`` renders the top phases live).
     store_mode:
         Optional persistence-mode tag (``"sharded"`` /
         ``"monolithic"``) stamped into every heartbeat line as
@@ -92,7 +89,6 @@ class SnapshotEmitter:
         rollups: Optional[RollupRegistry] = None,
         flight=None,
         run_id: Optional[str] = None,
-        profiler=None,
         store_mode: Optional[str] = None,
     ):
         if every < 1:
@@ -105,7 +101,6 @@ class SnapshotEmitter:
         self._rollups = rollups
         self._flight = flight
         self._run_id = run_id
-        self._profiler = profiler
         self._store_mode = store_mode
         self._wall_start = clock()
         self._cpu_start = cpu_clock()
@@ -148,8 +143,9 @@ class SnapshotEmitter:
             document["store"] = self._store_mode
         if self._rollups is not None:
             document["rollups"] = self._rollups.snapshot()
-        if self._profiler is not None and self._profiler.enabled:
-            document["phases"] = self._profiler.snapshot()
+        tracer = get_tracer()
+        if tracer.enabled:
+            document["phases"] = tracer.phase_totals()
         store, name = ArtifactStore.locate(self._path)
         store.append_jsonl(name, document, sort_keys=True)
         if self._flight is not None:

@@ -37,20 +37,17 @@ def read_jsonl_tolerant(path: str) -> List[Dict[str, Any]]:
 
     A campaign appends heartbeat and alert lines while the dashboard
     reads them, so the final line may be incomplete; any line that does
-    not parse as a JSON object is dropped rather than raised.  Missing
-    files read as empty histories.
+    not parse as a UTF-8 JSON object is dropped rather than raised.
+    Missing files read as empty histories.
     """
     if not os.path.exists(path):
         return []
     documents: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                document = json.loads(line)
-            except json.JSONDecodeError:
+                document = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):
                 continue
             if isinstance(document, dict):
                 documents.append(document)
@@ -89,7 +86,7 @@ def load_status(target: str) -> CampaignStatus:
                 loaded = json.load(handle)
             if isinstance(loaded, dict):
                 flight = loaded
-        except (json.JSONDecodeError, OSError):
+        except (ValueError, RecursionError, OSError):
             flight = None
     return CampaignStatus(
         target=target,

@@ -45,8 +45,8 @@ from repro.rng import SeedHierarchy
 from repro.sram.aging import AgingSimulator, DataPolicy, drift_direction
 from repro.sram.powerup import one_probabilities_from_skew, resolve_power_up_states
 from repro.sram.profiles import ATMEGA32U4, DeviceProfile
-from repro.telemetry.profiling import PHASE_NOISE_DRAW, PHASE_POWERUP
-from repro.telemetry.runtime import get_profiler
+from repro.telemetry.runtime import get_tracer
+from repro.telemetry.tracing import PHASE_NOISE_DRAW, PHASE_POWERUP
 
 logger = logging.getLogger(__name__)
 
@@ -245,7 +245,7 @@ class FleetKernel:
         same draw position (the day-0 reference when called first).
         """
         sigma = self._sigma_at(temperature_k)
-        with get_profiler().phase(PHASE_POWERUP):
+        with get_tracer().span("sram.powerup", phase=PHASE_POWERUP):
             noise = self._draw_noise_rows(sigma)
             states = resolve_power_up_states(self._skew_v, noise)
         self._power_up_counts += 1
@@ -274,12 +274,12 @@ class FleetKernel:
             )
         read_bits = self._profile.read_bits
         sigma = self._sigma_at(temperature_k)
-        profiler = get_profiler()
+        tracer = get_tracer()
         if not statistical:
             boards = self.board_count
             counts = np.empty((boards, read_bits), dtype=np.int64)
             first = np.empty((boards, read_bits), dtype=np.uint8)
-            with profiler.phase(PHASE_POWERUP):
+            with tracer.span("sram.powerup", phase=PHASE_POWERUP):
                 for index, rng in enumerate(self._rngs):
                     noise = rng.normal(
                         0.0, sigma, size=(measurements, self.cell_count)
@@ -291,13 +291,13 @@ class FleetKernel:
                     first[index] = block[0].astype(np.uint8)
             self._power_up_counts += measurements
             return counts, first
-        with profiler.phase(PHASE_POWERUP):
+        with tracer.span("sram.powerup", phase=PHASE_POWERUP):
             noise = self._draw_noise_rows(sigma)
             first = resolve_power_up_states(self._skew_v, noise)[:, :read_bits]
         self._power_up_counts += 1
         if measurements == 1:
             return first.astype(np.int64), first
-        with profiler.phase(PHASE_NOISE_DRAW):
+        with tracer.span("sram.noise_draw", phase=PHASE_NOISE_DRAW):
             probs = one_probabilities_from_skew(self._skew_v, sigma)
             window = np.empty_like(self._skew_v, dtype=np.int64)
             for index, rng in enumerate(self._rngs):
@@ -371,7 +371,7 @@ class FleetKernel:
         sigma = self._sigma_at(None)
         needs_probs = data_policy in (DataPolicy.POWER_UP, DataPolicy.INVERTED)
         cells = self.cell_count
-        # No profiler phase here: call sites wrap aging in PHASE_AGING,
+        # No phase span here: call sites tag aging with PHASE_AGING,
         # exactly like the scalar simulator's call sites do.
         d_taus = self._step_d_taus(equivalent_seconds, steps)
         for step in range(steps):

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from repro.errors import ConfigurationError
-from repro.telemetry.profiling import PHASE_NOISE_DRAW, PHASE_POWERUP
-from repro.telemetry.runtime import get_profiler
+from repro.telemetry.runtime import get_tracer
+from repro.telemetry.tracing import PHASE_NOISE_DRAW, PHASE_POWERUP
 
 if TYPE_CHECKING:  # pragma: no cover - typing aid only
     from repro.sram.chip import SRAMChip
@@ -106,7 +106,7 @@ def measure_power_ups(
     chip: SRAMChip, count: int, temperature_k: Optional[float] = None
 ) -> np.ndarray:
     """Measurement-level sampling: ``(count, read_bits)`` bit matrix."""
-    with get_profiler().phase(PHASE_POWERUP):
+    with get_tracer().span("sram.powerup", phase=PHASE_POWERUP):
         bits = chip.read_startup(count, temperature_k)
     return bits[np.newaxis, :] if bits.ndim == 1 else bits
 
@@ -115,7 +115,7 @@ def binomial_ones_counts(
     chip: SRAMChip, measurements: int, temperature_k: Optional[float] = None
 ) -> np.ndarray:
     """Statistical sampling: per-cell ones-counts over ``measurements``."""
-    with get_profiler().phase(PHASE_NOISE_DRAW):
+    with get_tracer().span("sram.noise_draw", phase=PHASE_NOISE_DRAW):
         return chip.read_window_ones_counts(measurements, temperature_k)
 
 
@@ -136,13 +136,13 @@ def sample_measurement_block(
     if measurements <= 0:
         raise ConfigurationError(f"measurements must be positive, got {measurements}")
     if statistical:
-        profiler = get_profiler()
-        with profiler.phase(PHASE_POWERUP):
+        tracer = get_tracer()
+        with tracer.span("sram.powerup", phase=PHASE_POWERUP):
             first = chip.read_startup(1, temperature_k)
         if measurements == 1:
             counts = first.astype(np.int64)
         else:
-            with profiler.phase(PHASE_NOISE_DRAW):
+            with tracer.span("sram.noise_draw", phase=PHASE_NOISE_DRAW):
                 counts = first + chip.read_window_ones_counts(
                     measurements - 1, temperature_k
                 )

@@ -101,19 +101,23 @@ class JsonLinesCodec:
         ).encode("utf-8")
 
     def decode_lines(self, data: bytes, source: str = "<stream>") -> Iterator[Any]:
-        """Yield records; blank lines skipped, bad lines are errors."""
-        for line_number, line in enumerate(
-            data.decode("utf-8").splitlines(), start=1
-        ):
+        """Yield records; blank lines are skipped, while a bad line or
+        bytes that are not UTF-8 raise :class:`~repro.errors.StorageError`."""
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StorageError(f"{source}: not UTF-8 text: {exc}") from exc
+        for line_number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
+                document = json.loads(line)
+            except (ValueError, RecursionError) as exc:
                 raise StorageError(
                     f"{source}:{line_number}: invalid JSON: {exc}"
                 ) from exc
+            yield document
 
 
 # Bit-vector codec -----------------------------------------------------------

@@ -34,17 +34,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.profiling import (
-    NULL_PHASE,
-    PHASES,
-    PHASE_AGING,
-    PHASE_METRICS,
-    PHASE_MONITOR,
-    PHASE_NOISE_DRAW,
-    PHASE_POWERUP,
-    PHASE_STORE_IO,
-    PhaseProfiler,
-)
 from repro.telemetry.resources import ResourceSampler, current_rss_kb
 from repro.telemetry.rollup import (
     ROLLUP_STATS,
@@ -60,21 +49,24 @@ from repro.telemetry.rollup import (
 from repro.telemetry.runtime import (
     get_flight_recorder,
     get_metrics,
-    get_profiler,
     get_rollups,
     get_tracer,
-    install_profiler,
-    profiling_enabled,
+    install_tracer,
     reset_telemetry,
-    rollups_enabled,
-    set_profiling,
-    set_rollups_enabled,
     set_tracing,
     tracing_enabled,
 )
 from repro.telemetry.tracing import (
     NULL_SPAN,
+    PHASE_AGING,
+    PHASE_METRICS,
+    PHASE_MONITOR,
+    PHASE_NOISE_DRAW,
+    PHASE_POWERUP,
+    PHASE_STORE_IO,
+    PHASES,
     TRACE_VERSION,
+    UNATTRIBUTED,
     Span,
     TraceContext,
     Tracer,
@@ -92,7 +84,6 @@ __all__ = [
     "Histogram",
     "MANIFEST_VERSION",
     "MetricsRegistry",
-    "NULL_PHASE",
     "NULL_SPAN",
     "PHASES",
     "PHASE_AGING",
@@ -101,7 +92,6 @@ __all__ = [
     "PHASE_NOISE_DRAW",
     "PHASE_POWERUP",
     "PHASE_STORE_IO",
-    "PhaseProfiler",
     "ROLLUP_STATS",
     "ResourceSampler",
     "RollupRegistry",
@@ -111,6 +101,7 @@ __all__ = [
     "Span",
     "TRACE_VERSION",
     "TraceContext",
+    "UNATTRIBUTED",
     "Tracer",
     "UNIT_BOUNDS",
     "WIDE_BOUNDS",
@@ -124,21 +115,16 @@ __all__ = [
     "fold_rollup_docs",
     "get_flight_recorder",
     "get_metrics",
-    "get_profiler",
     "get_rollups",
     "get_tracer",
     "graft_records",
     "init_logging",
-    "install_profiler",
+    "install_tracer",
     "labeled_name",
     "manifest_path_for",
     "parse_labeled_name",
-    "profiling_enabled",
     "reset_telemetry",
-    "rollups_enabled",
     "run_id_for_config",
-    "set_profiling",
-    "set_rollups_enabled",
     "set_tracing",
     "span_from_record",
     "span_record",

@@ -12,21 +12,19 @@ Policy:
   cheaper than any guard worth writing around it.
 * **Tracing is opt-in** (:func:`set_tracing`): a disabled tracer
   hands out a shared no-op span.  The CLI enables it for ``profile``
-  runs and ``--trace-json``.
-* **Phase profiling is opt-in** (:func:`set_profiling`): a disabled
-  profiler hands out a shared no-op phase.  Shard workers swap in a
-  local profiler via :func:`install_profiler` so hot-path attribution
-  lands in the worker and ships home as deltas.
+  runs and ``--trace-json``.  Phases are ``phase=`` tags on spans, so
+  the same switch turns the per-phase table on.  Shard workers swap in
+  a private tracer via :func:`install_tracer` so hot-path spans land
+  in the worker and ship home as span records.
 
-Neither instrument touches any random stream, so toggling telemetry
-can never change a simulation's scientific output.
+No instrument touches any random stream, so toggling telemetry can
+never change a simulation's scientific output.
 """
 
 from __future__ import annotations
 
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiling import PhaseProfiler
 from repro.telemetry.rollup import RollupRegistry
 from repro.telemetry.tracing import Tracer
 
@@ -34,8 +32,6 @@ _tracer = Tracer(enabled=False)
 _metrics = MetricsRegistry()
 _rollups = RollupRegistry()
 _flight = FlightRecorder()
-_profiler = PhaseProfiler(enabled=False)
-_rollups_enabled = True
 
 
 def get_tracer() -> Tracer:
@@ -58,21 +54,6 @@ def get_flight_recorder() -> FlightRecorder:
     return _flight
 
 
-def set_rollups_enabled(enabled: bool) -> None:
-    """Globally enable/disable rollup ingestion (benchmark toggle).
-
-    Rollups never touch a random stream, so toggling them cannot
-    change scientific output — only whether summaries accumulate.
-    """
-    global _rollups_enabled
-    _rollups_enabled = bool(enabled)
-
-
-def rollups_enabled() -> bool:
-    """Whether campaign paths feed the rollup registry."""
-    return _rollups_enabled
-
-
 def set_tracing(enabled: bool) -> None:
     """Enable or disable span recording on the global tracer."""
     _tracer.enabled = bool(enabled)
@@ -83,34 +64,18 @@ def tracing_enabled() -> bool:
     return _tracer.enabled
 
 
-def get_profiler() -> PhaseProfiler:
-    """The process-global phase profiler."""
-    return _profiler
+def install_tracer(tracer: Tracer) -> Tracer:
+    """Swap in ``tracer`` as the process-global one; returns the old.
 
-
-def set_profiling(enabled: bool) -> None:
-    """Enable or disable phase accumulation on the global profiler."""
-    _profiler.enabled = bool(enabled)
-
-
-def profiling_enabled() -> bool:
-    """Whether the global profiler accumulates phase timings."""
-    return _profiler.enabled
-
-
-def install_profiler(profiler: PhaseProfiler) -> PhaseProfiler:
-    """Swap in ``profiler`` as the process-global one; returns the old.
-
-    Shard workers install a *local* profiler for the duration of a
-    window so every ``get_profiler()`` call site in the hot path
-    attributes into it, then ship its deltas back and restore the
-    previous profiler.  The serial (in-process) executor uses the same
-    pattern, which is what makes serial and spawned attribution
-    identical.
+    Shard workers install a *private* tracer for the duration of a task
+    so every ``get_tracer()`` call site in the hot path records into
+    it, then ship its spans back and restore the previous tracer.  The
+    in-process executors use the same pattern, which is what makes
+    serial and spawned traces identical.
     """
-    global _profiler
-    previous = _profiler
-    _profiler = profiler
+    global _tracer
+    previous = _tracer
+    _tracer = tracer
     return previous
 
 
@@ -119,13 +84,10 @@ def reset_telemetry() -> None:
 
     Metric instrument identities survive (values reset in place), so
     modules that cached a counter keep counting into the same object.
-    Rollup summaries and the flight recorder are dropped outright, and
-    rollup ingestion is re-enabled.
+    Phase totals go with the spans; rollup summaries and the flight
+    recorder are dropped outright.
     """
-    global _rollups_enabled
     _tracer.reset()
     _metrics.reset()
     _rollups.reset()
     _flight.reset()
-    _profiler.reset()
-    _rollups_enabled = True

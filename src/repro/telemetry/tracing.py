@@ -22,6 +22,14 @@ every span a stable ``span_id``/``parent_id`` pair, and
 :meth:`Tracer.export_chrome` emits the Chrome ``trace_event`` format
 that Perfetto and speedscope load directly.
 
+Spans are also the one timing model of the hot path: a span opened
+with a ``phase=`` tag (one of :data:`PHASES`) says which *kind* of work
+it timed.  The tracer folds its tree into a per-phase table as spans
+close and records are grafted: each span's self time goes to its
+nearest tagged ancestor-or-self, and what no tag covers inside
+``campaign.run`` is reported as an explicit ``unattributed`` row
+(:meth:`Tracer.phase_totals`, :meth:`Tracer.render_phases`).
+
 Examples
 --------
 >>> tracer = Tracer(enabled=True)
@@ -40,6 +48,7 @@ Examples
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -49,12 +58,35 @@ from repro.errors import ConfigurationError
 #: Trace export document version (see :mod:`repro.store.schema`).
 TRACE_VERSION = 2
 
+#: Hot-path phase tags, in catalogue order (docs/profiling.md).
+PHASE_NOISE_DRAW = "noise_draw"
+PHASE_POWERUP = "powerup"
+PHASE_AGING = "aging"
+PHASE_METRICS = "metrics"
+PHASE_MONITOR = "monitor"
+PHASE_STORE_IO = "store_io"
+
+PHASES = (
+    PHASE_NOISE_DRAW,
+    PHASE_POWERUP,
+    PHASE_AGING,
+    PHASE_METRICS,
+    PHASE_MONITOR,
+    PHASE_STORE_IO,
+)
+
+#: The span whose untagged remainder the phase table reports.
+RUN_SPAN = "campaign.run"
+
+#: Phase-table row of the time inside :data:`RUN_SPAN` no tag covers.
+UNATTRIBUTED = "unattributed"
+
 
 @dataclass(frozen=True)
 class TraceContext:
     """Pickle-safe observability context handed to shard workers.
 
-    Carries *values only* — the campaign's trace id plus which layers
+    Carries *values only* — the campaign's trace id and whether spans
     are live — so it survives the ``spawn`` start method.  Workers
     never mutate the parent's tracer; they build a private one when
     ``spans`` is set and return records for the parent to graft.
@@ -62,12 +94,11 @@ class TraceContext:
 
     trace_id: Optional[str] = None
     spans: bool = False
-    phases: bool = False
 
     @property
     def active(self) -> bool:
-        """Whether any observability layer is on for workers."""
-        return self.spans or self.phases
+        """Whether workers record spans."""
+        return self.spans
 
 
 class Span:
@@ -175,8 +206,11 @@ def span_record(span: Span, epoch: float) -> Dict[str, Any]:
     ``epoch`` is the worker's local time origin (typically the first
     recorded span's ``start_wall``); every ``start_s`` in the record is
     relative to it, so the receiving process can re-base the subtree
-    onto its own clock with :func:`graft_records`.  Only plain dicts,
-    strings and floats — records survive ``pickle`` under ``spawn``.
+    onto its own clock with :func:`graft_records`.  ``pid`` names the
+    recording process, which tells :meth:`Tracer.graft` whether the
+    subtree's CPU time is already inside the grafting span's.  Only
+    plain dicts, strings and numbers — records survive ``pickle`` under
+    ``spawn``.
     """
     return {
         "name": span.name,
@@ -184,6 +218,7 @@ def span_record(span: Span, epoch: float) -> Dict[str, Any]:
         "start_s": span.start_wall - epoch,
         "wall_s": span.wall_s,
         "cpu_s": span.cpu_s,
+        "pid": os.getpid(),
         "children": [span_record(child, epoch) for child in span.children],
     }
 
@@ -305,6 +340,12 @@ class Tracer:
     The tracer keeps a plain stack, so it assumes single-threaded use —
     which matches the simulator, whose determinism contract already
     rules out free-threaded mutation of shared state.
+
+    The phase fold is incremental: every open tagged span (and every
+    open :data:`RUN_SPAN`) holds a frame accumulating the time of the
+    tagged spans closed inside it, so closing a span credits its phase
+    with ``own time - tagged inner time`` in O(1) and nothing ever
+    re-walks the tree.
     """
 
     def __init__(self, enabled: bool = False):
@@ -315,6 +356,11 @@ class Tracer:
         self.trace_id: Optional[str] = None
         self._roots: List[Span] = []
         self._stack: List[Span] = []
+        # Open fold frames: [span, phase, tagged inner wall, tagged
+        # inner cpu]; a RUN_SPAN frame's phase is UNATTRIBUTED.
+        self._frames: List[list] = []
+        # phase -> [wall_s, cpu_s, calls]
+        self._phases: Dict[str, List[float]] = {}
 
     @property
     def roots(self) -> List[Span]:
@@ -343,6 +389,11 @@ class Tracer:
         else:
             self._roots.append(span)
         self._stack.append(span)
+        phase = span.attributes.get("phase")
+        if phase is not None:
+            self._frames.append([span, phase, 0.0, 0.0])
+        elif span.name == RUN_SPAN:
+            self._frames.append([span, UNATTRIBUTED, 0.0, 0.0])
 
     def _pop(self, span: Span) -> None:
         if not self._stack or self._stack[-1] is not span:
@@ -350,12 +401,80 @@ class Tracer:
                 f"span {span.name!r} closed out of order (corrupted span stack)"
             )
         self._stack.pop()
+        frames = self._frames
+        if frames and frames[-1][0] is span:
+            _, phase, inner_wall, inner_cpu = frames.pop()
+            wall, cpu = span.wall_s, span.cpu_s
+            self._credit(phase, wall - inner_wall, cpu - inner_cpu, 1)
+            if frames:
+                frames[-1][2] += wall
+                frames[-1][3] += cpu
+
+    def _credit(self, phase: str, wall: float, cpu: float, calls: int) -> None:
+        total = self._phases.setdefault(phase, [0.0, 0.0, 0])
+        total[0] += wall
+        total[1] += cpu
+        total[2] += calls
+
+    def graft(self, parent: Span, records: List[Dict[str, Any]]) -> None:
+        """Attach worker span records under ``parent`` and fold them.
+
+        Tagged spans inside the records credit their phases exactly as
+        live spans would.  A record's untagged time counts where its
+        process says it ran: a record from this process (an in-process
+        executor) is already inside the open spans' own time, while a
+        record from a worker process is extra time, credited to the
+        nearest open frame (``unattributed`` under ``campaign.run``).
+        """
+        graft_records(parent, records)
+        frame = self._frames[-1] if self._frames and not parent.finished else None
+        here = os.getpid()
+        for record in records:
+            tagged_wall, tagged_cpu = self._fold_record(record)
+            if frame is None:
+                continue
+            if record.get("pid", here) == here:
+                frame[2] += tagged_wall
+                frame[3] += tagged_cpu
+            else:
+                wall, cpu = record["wall_s"] - tagged_wall, record["cpu_s"] - tagged_cpu
+                self._credit(frame[1], wall, cpu, 0)
+
+    def _fold_record(self, record: Dict[str, Any]) -> "tuple[float, float]":
+        """Credit a record subtree's tagged spans; returns the wall/CPU
+        of its outermost tagged spans (the part now credited)."""
+        inner_wall = inner_cpu = 0.0
+        for child in record["children"]:
+            wall, cpu = self._fold_record(child)
+            inner_wall += wall
+            inner_cpu += cpu
+        phase = record["attributes"].get("phase")
+        if phase is None:
+            return inner_wall, inner_cpu
+        wall, cpu = record["wall_s"], record["cpu_s"]
+        self._credit(phase, wall - inner_wall, cpu - inner_cpu, 1)
+        return wall, cpu
+
+    def phase_totals(self) -> Dict[str, Dict[str, Any]]:
+        """The fold so far: ``{phase: {wall_s, cpu_s, calls}}``.
+
+        Wall and CPU seconds are summed over processes (worker records
+        included).  The ``unattributed`` row holds the untagged time of
+        closed ``campaign.run`` spans plus that of grafted worker
+        records; its ``calls`` counts closed runs.
+        """
+        return {
+            phase: {"wall_s": total[0], "cpu_s": total[1], "calls": int(total[2])}
+            for phase, total in self._phases.items()
+        }
 
     def reset(self) -> None:
-        """Drop every recorded span (open spans are abandoned)."""
+        """Drop every recorded span and phase total (open spans are abandoned)."""
         self.trace_id = None
         self._roots = []
         self._stack = []
+        self._frames = []
+        self._phases = {}
 
     def assign_ids(self) -> None:
         """Number the span forest deterministically (pre-order DFS).
@@ -377,17 +496,15 @@ class Tracer:
         for root in self._roots:
             visit(root, None)
 
-    def context(self, phases: bool = False) -> Optional[TraceContext]:
+    def context(self) -> Optional[TraceContext]:
         """The :class:`TraceContext` to hand shard workers, or ``None``.
 
-        ``None`` when nothing is live — specs then pickle exactly as
+        ``None`` when tracing is off — specs then pickle exactly as
         they did before the observability layer existed.
         """
-        if not self.enabled and not phases:
+        if not self.enabled:
             return None
-        return TraceContext(
-            trace_id=self.trace_id, spans=self.enabled, phases=phases
-        )
+        return TraceContext(trace_id=self.trace_id, spans=True)
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         """JSON-ready list of root span trees (ids freshly assigned)."""
@@ -467,6 +584,36 @@ class Tracer:
         )
         for child in span.children:
             self._render_span(child, depth + 1, span.wall_s, lines)
+
+    def render_phases(self) -> str:
+        """Text phase table: phases by CPU descending, then ``unattributed``,
+        then the total (every row's share is of that total)."""
+        lines = [
+            f"{'phase':<14} {'calls':>10} {'wall':>10} {'cpu':>10} {'% cpu':>7}",
+            "-" * 56,
+        ]
+        if not self._phases:
+            lines.append("(no phases recorded — was tracing enabled?)")
+            return "\n".join(lines)
+        rows = sorted(
+            (item for item in self._phases.items() if item[0] != UNATTRIBUTED),
+            key=lambda item: (-item[1][1], item[0]),
+        )
+        if UNATTRIBUTED in self._phases:
+            rows.append((UNATTRIBUTED, self._phases[UNATTRIBUTED]))
+        total_cpu = sum(total[1] for _, total in rows)
+        for name, (wall_s, cpu_s, calls) in rows:
+            share = f"{100.0 * cpu_s / total_cpu:6.1f}%" if total_cpu > 0 else f"{'-':>7}"
+            lines.append(
+                f"{name:<14} {int(calls):>10} {_format_seconds(wall_s):>10} "
+                f"{_format_seconds(cpu_s):>10} {share}"
+            )
+        lines.append("-" * 56)
+        lines.append(
+            f"{'total':<14} {'':>10} {'':>10} "
+            f"{_format_seconds(total_cpu):>10} {'100.0%' if total_cpu > 0 else '':>7}"
+        )
+        return "\n".join(lines)
 
 
 def _format_seconds(seconds: float) -> str:

@@ -12,7 +12,9 @@ campaign *before* anything is merged, observed or reported.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
+import signal
 
 import pytest
 
@@ -195,9 +197,15 @@ class TestDriversRefuseALostBoard:
 DEATH_MONTH = 2
 
 
-def die_in_shard_zero(spec):
-    """Window callable whose shard-0 worker dies mid-campaign (picklable)."""
+def die_in_shard_zero(spec, death="os_exit"):
+    """Window callable whose shard-0 worker dies mid-campaign (picklable).
+
+    ``death`` picks how: ``"os_exit"`` exits without cleanup,
+    ``"sigkill"`` has the kernel kill the process outright.
+    """
     if spec.shard_index == 0 and spec.month == DEATH_MONTH:
+        if death == "sigkill":
+            os.kill(os.getpid(), signal.SIGKILL)
         os._exit(1)
     return run_board_window(spec)
 
@@ -206,11 +214,13 @@ class _DyingPool(WindowPool):
     """A caller-owned pool whose first campaign loses a worker process."""
 
     armed = True
+    death = "os_exit"
 
     def run_tasks(self, fn, specs):
         if self.armed and fn is run_board_window:
             try:
-                return super().run_tasks(die_in_shard_zero, specs)
+                dying = functools.partial(die_in_shard_zero, death=self.death)
+                return super().run_tasks(dying, specs)
             except CampaignExecutionError:
                 self.armed = False
                 raise
@@ -218,13 +228,15 @@ class _DyingPool(WindowPool):
 
 
 class TestWorkerDeath:
-    def test_killed_worker_leaves_a_resumable_directory(self, tmp_path):
+    @pytest.mark.parametrize("death", ["os_exit", "sigkill"])
+    def test_killed_worker_leaves_a_resumable_directory(self, tmp_path, death):
         config = dict(device_count=4, months=4, measurements=50, random_state=3)
         straight = LongTermCampaign(**config).run()
         save_campaign(straight, str(tmp_path / "straight.json"))
         reset_telemetry()
         ckpt = str(tmp_path / "ckpt")
         pool = _DyingPool(2)
+        pool.death = death
         try:
             with pytest.raises(CampaignExecutionError, match="shard 0"):
                 LongTermCampaign(max_workers=2, **config).run(

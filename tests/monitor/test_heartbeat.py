@@ -115,20 +115,30 @@ class TestCorrelationAndPhases:
         assert document["months_per_s"] == pytest.approx(2.0)
 
     def test_phases_ride_when_profiler_enabled(self, tmp_path):
-        from repro.telemetry import PhaseProfiler
+        # The phase profiler is the tracer's fold: tracing on => phases.
+        from repro.telemetry import get_tracer, reset_telemetry, set_tracing
 
         path = str(tmp_path / "heartbeat.jsonl")
-        profiler = PhaseProfiler(enabled=True)
-        profiler.add("aging", wall_s=2.0, cpu_s=1.5, calls=4)
-        SnapshotEmitter(path, profiler=profiler)(1, 1)
+        reset_telemetry()
+        set_tracing(True)
+        try:
+            for _ in range(4):
+                with get_tracer().span("board.age", phase="aging"):
+                    pass
+            SnapshotEmitter(path)(1, 1)
+            expected = get_tracer().phase_totals()
+        finally:
+            set_tracing(False)
+            reset_telemetry()
         beat = read_jsonl(path)[0]
-        assert beat["phases"]["aging"] == {
-            "wall_s": 2.0, "cpu_s": 1.5, "calls": 4
-        }
+        assert beat["phases"] == expected
+        assert beat["phases"]["aging"]["calls"] == 4
+        assert set(beat["phases"]["aging"]) == {"wall_s", "cpu_s", "calls"}
 
     def test_phases_absent_when_profiler_disabled(self, tmp_path):
-        from repro.telemetry import PhaseProfiler
+        from repro.telemetry import tracing_enabled
 
         path = str(tmp_path / "heartbeat.jsonl")
-        SnapshotEmitter(path, profiler=PhaseProfiler(enabled=False))(1, 1)
+        assert not tracing_enabled()
+        SnapshotEmitter(path)(1, 1)
         assert "phases" not in read_jsonl(path)[0]

@@ -49,10 +49,14 @@ class TestCampaignInstrumentation:
         assert [s.attributes["month"] for s in months] == [0, 1]
         assert [c.name for c in months[0].children] == [
             "campaign.measure",
+            "campaign.publish",
             "campaign.age",
         ]
         # The last snapshot has no aging step after it.
-        assert [c.name for c in months[-1].children] == ["campaign.measure"]
+        assert [c.name for c in months[-1].children] == [
+            "campaign.measure",
+            "campaign.publish",
+        ]
 
     def test_tracing_does_not_change_results(self):
         def run():

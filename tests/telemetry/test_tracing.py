@@ -272,7 +272,6 @@ class TestTraceContext:
     def test_active_flags(self):
         assert not TraceContext().active
         assert TraceContext(spans=True).active
-        assert TraceContext(phases=True).active
 
     def test_disabled_tracer_yields_no_context(self):
         assert Tracer(enabled=False).context() is None
@@ -280,19 +279,14 @@ class TestTraceContext:
     def test_enabled_tracer_context_carries_trace_id(self):
         tracer = Tracer(enabled=True)
         tracer.trace_id = "feedface00000000"
-        context = tracer.context(phases=True)
-        assert context.spans and context.phases
+        context = tracer.context()
+        assert context.spans
         assert context.trace_id == "feedface00000000"
-
-    def test_phases_alone_still_yield_context(self):
-        context = Tracer(enabled=False).context(phases=True)
-        assert context is not None
-        assert context.phases and not context.spans
 
     def test_context_pickles(self):
         import pickle
 
-        context = TraceContext(trace_id="abc", spans=True, phases=True)
+        context = TraceContext(trace_id="abc", spans=True)
         assert pickle.loads(pickle.dumps(context)) == context
 
 
